@@ -3,7 +3,6 @@
 use mmvc_clique::CliqueError;
 use mmvc_graph::GraphError;
 use mmvc_mpc::MpcError;
-use mmvc_substrate::SubstrateError;
 use std::error::Error;
 use std::fmt;
 
@@ -41,10 +40,6 @@ pub enum CoreError {
         /// The underlying read failure.
         source: mmvc_graph::io::ReadError,
     },
-    /// The transport layer failed during a distributed run — a framing
-    /// violation or a misbehaving party ([`SubstrateError::Net`] names
-    /// the offending party and round).
-    Substrate(SubstrateError),
 }
 
 impl fmt::Display for CoreError {
@@ -62,7 +57,6 @@ impl fmt::Display for CoreError {
             CoreError::GraphFile { path, source } => {
                 write!(f, "cannot load graph file `{path}`: {source}")
             }
-            CoreError::Substrate(e) => write!(f, "distributed run failed: {e}"),
         }
     }
 }
@@ -74,7 +68,6 @@ impl Error for CoreError {
             CoreError::Clique(e) => Some(e),
             CoreError::Graph(e) => Some(e),
             CoreError::GraphFile { source, .. } => Some(source),
-            CoreError::Substrate(e) => Some(e),
             _ => None,
         }
     }
@@ -95,12 +88,6 @@ impl From<CliqueError> for CoreError {
 impl From<GraphError> for CoreError {
     fn from(e: GraphError) -> Self {
         CoreError::Graph(e)
-    }
-}
-
-impl From<SubstrateError> for CoreError {
-    fn from(e: SubstrateError) -> Self {
-        CoreError::Substrate(e)
     }
 }
 
@@ -134,16 +121,6 @@ mod tests {
 
         let e: CoreError = GraphError::SelfLoop { vertex: 1 }.into();
         assert!(e.to_string().contains("graph"));
-
-        let e: CoreError = SubstrateError::Net {
-            party: 3,
-            round: 2,
-            message: "connection reset".into(),
-        }
-        .into();
-        let s = e.to_string();
-        assert!(s.contains("party 3") && s.contains("round 2"));
-        assert!(e.source().is_some());
 
         // Every variant (and every crate's error enum — the audit behind
         // this test) boxes uniformly as `dyn Error` with sources wired.

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod distributed;
 mod epsilon;
 mod error;
 pub mod filtering;

@@ -72,13 +72,8 @@ impl Cluster {
     #[must_use]
     pub fn with_executor(mut self, executor: ExecutorConfig) -> Self {
         // The executor carries the run's telemetry sink; rounds metered
-        // by this cluster report their spans into the same sink. Same
-        // for the optional charge log: every completed round's per-slot
-        // loads are recorded for the transport layer to replay.
+        // by this cluster report their spans into the same sink.
         self.ledger.set_telemetry(executor.telemetry());
-        if let Some(log) = executor.charge_log() {
-            self.ledger.set_recorder(log);
-        }
         self.executor = executor;
         self
     }

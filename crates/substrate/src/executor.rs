@@ -38,7 +38,7 @@
 //! assert_eq!(ExecutorConfig::sequential().run(8, |i| i * i), squares);
 //! ```
 
-use crate::{ChargeLog, ScratchPool, Telemetry};
+use crate::{ScratchPool, Telemetry};
 
 /// Task counts below this run sequentially by default — spawning a thread
 /// costs more than a trivial round saves.
@@ -71,7 +71,6 @@ pub struct ExecutorConfig {
     sequential_below: usize,
     scratch: Option<ScratchPool>,
     telemetry: Telemetry,
-    charge_log: Option<ChargeLog>,
 }
 
 impl PartialEq for ExecutorConfig {
@@ -92,7 +91,6 @@ impl ExecutorConfig {
             sequential_below: DEFAULT_SEQUENTIAL_BELOW,
             scratch: None,
             telemetry: Telemetry::disabled(),
-            charge_log: None,
         }
     }
 
@@ -114,7 +112,6 @@ impl ExecutorConfig {
             sequential_below: DEFAULT_SEQUENTIAL_BELOW,
             scratch: None,
             telemetry: Telemetry::disabled(),
-            charge_log: None,
         }
     }
 
@@ -132,22 +129,6 @@ impl ExecutorConfig {
     /// sinkless handle).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Attaches a [`ChargeLog`]: round ledgers driven through this
-    /// config record every completed round's per-slot loads into it —
-    /// the replay channel of the distributed transport layer. Like the
-    /// telemetry sink, the log is a pure observer: metered numbers are
-    /// byte-identical with or without it.
-    #[must_use]
-    pub fn with_charge_log(mut self, log: &ChargeLog) -> Self {
-        self.charge_log = Some(log.clone());
-        self
-    }
-
-    /// The attached charge log, if any.
-    pub fn charge_log(&self) -> Option<&ChargeLog> {
-        self.charge_log.as_ref()
     }
 
     /// Attaches a scratch arena; buffer-hungry passes threaded over this

@@ -34,12 +34,6 @@
 //! * [`Telemetry`] / [`TraceEvent`] — the out-of-band span/counter sink
 //!   threaded through the same configs (strictly an observer: report
 //!   bytes are pinned byte-identical with telemetry on or off);
-//! * [`ChargeLog`] / [`RoundCharges`] — a second observer recording the
-//!   exact per-slot loads of every completed round, the replay script
-//!   the transport layer turns into real wire traffic;
-//! * [`net`] — the optional TCP transport: length-prefixed frame codec,
-//!   [`PartyRunner`] (one networked party's role) and [`Coordinator`]
-//!   (round barrier + wire-side accounting);
 //! * [`SubstrateError`] — the substrate-agnostic failure type every
 //!   model-specific error converts into.
 //!
@@ -63,17 +57,15 @@ mod bitset;
 mod engine;
 mod error;
 mod executor;
-pub mod net;
 mod pool;
 mod scratch;
 mod telemetry;
 mod trace;
 
 pub use bitset::Bitset;
-pub use engine::{ChargeLog, RoundCharges, RoundLedger};
+pub use engine::RoundLedger;
 pub use error::SubstrateError;
 pub use executor::ExecutorConfig;
-pub use net::{Coordinator, Frame, FrameDecoder, FrameKind, NetConfig, PartyFault, PartyRunner};
 pub use pool::{Completions, WorkerPool};
 pub use scratch::{ScratchPool, ScratchStats};
 pub use telemetry::{EventKind, Span, Telemetry, TraceEvent};

@@ -10,9 +10,6 @@
 //!          [--threads K] [--max-rounds R] [--max-load W] [--max-n N] [--json] [--canonical]
 //!          [--trace-out PATH] [--trace-jsonl PATH]
 //! mmvc bench [--smoke] [--out PATH]            # algorithm×scenario sweep
-//! mmvc net-run <algorithm> <scenario> [--parties N] [--processes] [--n N] [--seed S] [--eps E]
-//!              [--threads K] [--timeout-ms T] [--json] [--canonical] [--out PATH]
-//! mmvc party --addr HOST:PORT --party I --parties N [--timeout-ms T] [--fault die|corrupt|truncate:R]
 //! mmvc serve [--addr A] [--workers W] [--cache-cap K] [--max-n N]   # run-serving daemon
 //!            [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
 //! mmvc stats    <graph.txt>
@@ -46,9 +43,6 @@ const USAGE: &str = "usage:
            [--threads K] [--max-rounds R] [--max-load W] [--max-n N] [--json] [--canonical]
            [--trace-out PATH] [--trace-jsonl PATH]
   mmvc bench [--smoke] [--out PATH]
-  mmvc net-run <algorithm> <scenario> [--parties N] [--processes] [--n N] [--seed S] [--eps E]
-               [--threads K] [--timeout-ms T] [--json] [--canonical] [--out PATH]
-  mmvc party --addr HOST:PORT --party I --parties N [--timeout-ms T] [--fault die|corrupt|truncate:R]
   mmvc serve [--addr HOST:PORT] [--workers W] [--cache-cap K] [--max-n N]
              [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
   mmvc stats    <graph.txt>
@@ -64,8 +58,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "list" => cmd_list(),
         "run" => cmd_run(args),
         "bench" => cmd_bench(args),
-        "net-run" => cmd_net_run(args),
-        "party" => cmd_party(args),
         "serve" => cmd_serve(args),
         "stats" => cmd_stats(args),
         "mis" => cmd_mis(args),
@@ -118,36 +110,23 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // The workload: a positional scenario name, or `--graph-file PATH`
     // for a user-supplied edge list (exactly one of the two).
     let scenario = args.get(2).filter(|a| !a.starts_with("--"));
-    let flags_from = if scenario.is_some() { 3 } else { 2 };
-
-    // Strict flag validation: a mistyped `--max-round` silently dropping
-    // a budget would defeat the CI-enforcement use of this command.
-    const VALUE_FLAGS: [&str; 10] = [
-        "--n",
-        "--seed",
-        "--eps",
-        "--threads",
-        "--max-rounds",
-        "--max-load",
-        "--max-n",
-        "--graph-file",
-        "--trace-out",
-        "--trace-jsonl",
-    ];
-    let mut i = flags_from;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a} requires a value"));
-            }
-            i += 2;
-        } else if a == "--json" || a == "--canonical" {
-            i += 1;
-        } else {
-            return Err(format!("unknown argument `{a}` for `mmvc run`"));
-        }
-    }
+    check_flags(
+        args,
+        if scenario.is_some() { 3 } else { 2 },
+        &[
+            "--n",
+            "--seed",
+            "--eps",
+            "--threads",
+            "--max-rounds",
+            "--max-load",
+            "--max-n",
+            "--graph-file",
+            "--trace-out",
+            "--trace-jsonl",
+        ],
+        &["--json", "--canonical"],
+    )?;
 
     let mut spec = match (scenario, flag_value(args, "--graph-file")) {
         (Some(scenario), None) => RunSpec::new(algorithm, scenario),
@@ -287,166 +266,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `mmvc net-run`: run a metered MPC algorithm distributed over N local
-/// parties (threads by default, `--processes` for real `mmvc party`
-/// children) and print the wire-metered report. Exits nonzero if the
-/// distributed report's canonical bytes diverge from the in-process
-/// run, or if the ledger's words disagree with the payload bytes that
-/// actually crossed the wire — the CLI enforces the parity contract on
-/// every invocation, not just under test.
-fn cmd_net_run(args: &[String]) -> Result<(), String> {
-    use mmvc::core::distributed::{run_distributed, DistOptions, PartyLaunch};
-
-    let algorithm = args
-        .get(1)
-        .and_then(|a| AlgorithmKind::parse(a))
-        .ok_or_else(|| {
-            "missing or unknown algorithm (metered MPC kinds: greedy-mis, mpc-matching, filtering)"
-                .to_string()
-        })?;
-    let scenario = args
-        .get(2)
-        .filter(|a| !a.starts_with("--"))
-        .ok_or_else(|| {
-            format!(
-                "missing scenario (one of: {})",
-                scenarios::names().join(", ")
-            )
-        })?;
-
-    // Strict flag validation, same rationale as `mmvc run`.
-    const VALUE_FLAGS: [&str; 7] = [
-        "--parties",
-        "--n",
-        "--seed",
-        "--eps",
-        "--threads",
-        "--timeout-ms",
-        "--out",
-    ];
-    let mut i = 3;
-    while i < args.len() {
-        let a = &args[i];
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            if args.get(i + 1).is_none() {
-                return Err(format!("{a} requires a value"));
-            }
-            i += 2;
-        } else if a == "--processes" || a == "--json" || a == "--canonical" {
-            i += 1;
-        } else {
-            return Err(format!("unknown argument `{a}` for `mmvc net-run`"));
-        }
-    }
-
-    let mut spec = RunSpec::new(algorithm, scenario);
-    spec.n = parse_optional(args, "--n")?;
-    spec.seed = parse_seed(args)?;
-    spec.eps = parse_eps(args)?;
-    spec.executor = parse_executor(args)?;
-
-    let parties = parse_optional(args, "--parties")?.unwrap_or(4);
-    let mut opts = DistOptions::threads(parties);
-    if args.iter().any(|a| a == "--processes") {
-        let exe =
-            std::env::current_exe().map_err(|e| format!("cannot locate the mmvc binary: {e}"))?;
-        opts.launch = PartyLaunch::Processes { exe };
-    }
-    if let Some(t) = parse_optional::<u64>(args, "--timeout-ms")? {
-        opts.accept_timeout_ms = t;
-        opts.io_timeout_ms = t;
-    }
-
-    let out = run_distributed(&spec, &opts).map_err(|e| e.to_string())?;
-
-    let dist_bytes = mmvc::serve::canonical_report_body(out.report.clone());
-    let sim_bytes = mmvc::serve::canonical_report_body(out.sim_report.clone());
-    if dist_bytes != sim_bytes {
-        return Err(
-            "parity violation: distributed report diverged from the in-process run".to_string(),
-        );
-    }
-    if out.wire.data_payload_bytes != out.report.substrate.total_words {
-        return Err(format!(
-            "wire accounting mismatch: ledger charged {} words but {} payload bytes crossed the wire",
-            out.report.substrate.total_words, out.wire.data_payload_bytes
-        ));
-    }
-    eprintln!(
-        "parity      : report byte-identical to in-process run ({parties} parties, {} wire payload bytes)",
-        out.wire.data_payload_bytes
-    );
-
-    if let Some(path) = flag_value(args, "--out") {
-        std::fs::write(&path, &dist_bytes)
-            .map_err(|e| format!("cannot write report to {path}: {e}"))?;
-        eprintln!("report      : -> {path}");
-    }
-
-    let report = &out.report;
-    if args.iter().any(|a| a == "--canonical") {
-        print!("{}", String::from_utf8_lossy(&dist_bytes));
-    } else if args.iter().any(|a| a == "--json") {
-        print!("{}", mmvc_bench::report_json(report).render());
-    } else {
-        println!("algorithm   : {}", report.algorithm.name());
-        println!(
-            "scenario    : {} (n = {}, edges = {})",
-            report.scenario, report.n, report.num_edges
-        );
-        println!("parties     : {parties}");
-        println!("rounds      : {}", report.substrate.rounds);
-        println!("max_load    : {} words", report.substrate.max_load_words);
-        println!("total_words : {}", report.substrate.total_words);
-        println!(
-            "wire        : {} data frames, {} payload bytes, {} sent / {} received total",
-            out.wire.data_frames,
-            out.wire.data_payload_bytes,
-            out.wire.bytes_sent,
-            out.wire.bytes_received
-        );
-        println!("wall        : {:.1} ms", report.wall_ms);
-    }
-
-    if report.ok() {
-        Ok(())
-    } else {
-        Err("witness validation failed".to_string())
-    }
-}
-
-/// `mmvc party`: one networked party's role — connect to the
-/// coordinator, receive machine loads, acknowledge every round barrier.
-/// Launched by `mmvc net-run --processes` (and directly by tests); a
-/// misbehaving run exits nonzero with the transport error on stderr.
-fn cmd_party(args: &[String]) -> Result<(), String> {
-    use mmvc::substrate::net::{PartyFault, PartyRunner};
-
-    let addr: std::net::SocketAddr = flag_value(args, "--addr")
-        .ok_or("--addr is required")?
-        .parse()
-        .map_err(|_| "invalid --addr (need HOST:PORT)".to_string())?;
-    let party = parse_optional::<usize>(args, "--party")?.ok_or("--party is required")?;
-    let parties = parse_optional::<usize>(args, "--parties")?.ok_or("--parties is required")?;
-
-    let mut runner = PartyRunner::new(party, parties, addr);
-    if let Some(t) = parse_optional::<u64>(args, "--timeout-ms")? {
-        runner.io_timeout_ms = t;
-    }
-    if let Some(raw) = flag_value(args, "--fault") {
-        runner.fault = Some(PartyFault::parse(&raw).ok_or_else(|| {
-            format!("invalid --fault `{raw}` (expected die:R, corrupt:R or truncate:R)")
-        })?);
-    }
-
-    let stats = runner.run().map_err(|e| e.to_string())?;
-    println!("party       : {party}/{parties}");
-    println!("rounds      : {}", stats.rounds);
-    println!("data_frames : {}", stats.data_frames);
-    println!("words_recv  : {}", stats.words_received);
-    Ok(())
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use mmvc::serve::{ServeConfig, Server};
     let mut config = ServeConfig::default();
@@ -518,6 +337,33 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.run().map_err(|e| e.to_string())
 }
 
+/// Strict flag validation for `args[from..]`: every argument must be one
+/// of the command's `value_flags` (followed by its value) or `switches`.
+/// A misspelled `--sed 7` or a trailing `--seed` silently falling back
+/// to a default would run something other than what was asked for.
+fn check_flags(
+    args: &[String],
+    from: usize,
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut i = from;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if value_flags.contains(&a) {
+            if args.get(i + 1).is_none() {
+                return Err(format!("{a} requires a value"));
+            }
+            i += 2;
+        } else if switches.contains(&a) {
+            i += 1;
+        } else {
+            return Err(format!("unknown argument `{a}` for `mmvc {}`", args[0]));
+        }
+    }
+    Ok(())
+}
+
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -562,6 +408,7 @@ fn load_graph(args: &[String]) -> Result<Graph, String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &[], &[])?;
     let g = load_graph(args)?;
     println!("vertices    : {}", g.num_vertices());
     println!("edges       : {}", g.num_edges());
@@ -578,6 +425,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mis(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &["--seed", "--model", "--threads"], &[])?;
     let g = load_graph(args)?;
     let seed = parse_seed(args)?;
     let executor = parse_executor(args)?;
@@ -615,6 +463,7 @@ fn cmd_mis(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_matching(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &["--seed", "--eps"], &["--exact"])?;
     let g = load_graph(args)?;
     let seed = parse_seed(args)?;
     let eps = parse_eps(args)?;
@@ -634,6 +483,7 @@ fn cmd_matching(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_cover(args: &[String]) -> Result<(), String> {
+    check_flags(args, 2, &["--seed", "--eps"], &[])?;
     let g = load_graph(args)?;
     let seed = parse_seed(args)?;
     let eps = parse_eps(args)?;
@@ -646,6 +496,7 @@ fn cmd_cover(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
+    check_flags(args, 4, &["--seed"], &[])?;
     let kind = args.get(1).ok_or("missing generator kind")?;
     let n: usize = args
         .get(2)

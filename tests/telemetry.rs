@@ -174,71 +174,6 @@ fn disabled_telemetry_is_inert() {
     assert!(!telemetry.has_events(), "disabled sinks never buffer");
 }
 
-/// Distributed runs are telemetry-instrumented the same way: every
-/// barrier round emits a `net.round` span tagged with the bytes sent
-/// and received on the wire, one span per metered round.
-#[test]
-fn distributed_runs_emit_net_round_spans() {
-    use mmvc::core::distributed::{run_distributed, DistOptions};
-
-    let telemetry = Telemetry::recording();
-    let mut spec = small_spec(AlgorithmKind::GreedyMis, "gnp-sparse");
-    spec.executor = ExecutorConfig::sequential().with_telemetry(&telemetry);
-    let out = run_distributed(&spec, &DistOptions::threads(3)).unwrap();
-
-    let events = telemetry.drain();
-    let net_rounds: Vec<_> = events.iter().filter(|e| e.name == "net.round").collect();
-    assert_eq!(
-        net_rounds.len(),
-        out.report.substrate.rounds,
-        "one net.round span per barrier round"
-    );
-    let arg = |e: &mmvc::substrate::TraceEvent, key: &str| {
-        e.args
-            .iter()
-            .find(|(k, _)| *k == key)
-            .unwrap_or_else(|| panic!("net.round missing arg {key}: {:?}", e.args))
-            .1
-    };
-    let mut sent_total = 0u64;
-    for (i, span) in net_rounds.iter().enumerate() {
-        assert_eq!(span.kind, EventKind::Span);
-        assert_eq!(arg(span, "round"), (i + 1) as u64, "spans arrive in order");
-        assert!(arg(span, "bytes_recv") > 0, "every round gathers acks");
-        sent_total += arg(span, "bytes_sent");
-    }
-    // Per-span byte tags cover at least the Data payloads (headers and
-    // barrier frames come on top).
-    assert!(sent_total as usize >= out.wire.data_payload_bytes);
-}
-
-/// The out-of-band pin extends over the wire: a distributed run's
-/// canonical report bytes are identical with telemetry off and with a
-/// recording sink attached — spans observe the transport, they never
-/// perturb its accounting.
-#[test]
-fn distributed_reports_are_telemetry_invariant() {
-    use mmvc::core::distributed::{run_distributed, DistOptions};
-
-    let base = small_spec(AlgorithmKind::MpcMatching, "gnp-sparse");
-    let plain = run_distributed(&base, &DistOptions::threads(2)).unwrap();
-    let baseline = canonical_json(plain.report);
-
-    let telemetry = Telemetry::recording();
-    let mut spec = small_spec(AlgorithmKind::MpcMatching, "gnp-sparse");
-    spec.executor = ExecutorConfig::sequential().with_telemetry(&telemetry);
-    let traced = run_distributed(&spec, &DistOptions::threads(2)).unwrap();
-    assert_eq!(
-        canonical_json(traced.report),
-        baseline,
-        "distributed canonical bytes must not depend on telemetry"
-    );
-    assert!(
-        telemetry.drain().iter().any(|e| e.name == "net.round"),
-        "the sink must actually have recorded the transport"
-    );
-}
-
 /// A recording sink can be muted and re-enabled in place; only the
 /// enabled stretches record.
 #[test]
