@@ -3,10 +3,11 @@
 //! engine's sequential-vs-threaded executors on both substrates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mmvc_clique::CliqueNetwork;
+use mmvc_core::matching::random_vertex_partition;
 use mmvc_core::mis::{clique_mis, greedy_mpc_mis, CliqueMisConfig, GreedyMisConfig};
 use mmvc_graph::generators;
-use mmvc_mpc::{random_vertex_partition, Cluster, MpcConfig};
+use mmvc_substrate::clique::CliqueNetwork;
+use mmvc_substrate::mpc::{Cluster, MpcConfig};
 use mmvc_substrate::{ExecutorConfig, Substrate};
 
 fn bench_substrates(c: &mut Criterion) {
@@ -40,15 +41,6 @@ fn bench_substrates(c: &mut Criterion) {
                 cl.round(|r| r.broadcast(100)).expect("within budget");
             }
             cl.rounds()
-        })
-    });
-    group.bench_function("mpc_sort_100k", |b| {
-        let items: Vec<u64> = (0..100_000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B9))
-            .collect();
-        b.iter(|| {
-            let mut cl = Cluster::new(MpcConfig::new(32, 1 << 20).expect("valid"));
-            mmvc_mpc::mpc_sort(&mut cl, &items).expect("fits")
         })
     });
     group.finish();

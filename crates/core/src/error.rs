@@ -1,8 +1,7 @@
 //! Error type for the algorithm crate.
 
-use mmvc_clique::CliqueError;
 use mmvc_graph::GraphError;
-use mmvc_mpc::MpcError;
+use mmvc_substrate::SubstrateError;
 use std::error::Error;
 use std::fmt;
 
@@ -24,12 +23,11 @@ pub enum CoreError {
         /// Violated constraint.
         message: String,
     },
-    /// The underlying MPC simulation failed (typically a memory-budget
-    /// violation — a *finding*, not a bug: the configuration was too small
-    /// for the algorithm's guarantees to apply).
-    Mpc(MpcError),
-    /// The underlying CONGESTED-CLIQUE simulation failed.
-    Clique(CliqueError),
+    /// The simulated MPC or CONGESTED-CLIQUE substrate rejected the
+    /// execution (typically a memory-budget violation — a *finding*, not
+    /// a bug: the configuration was too small for the algorithm's
+    /// guarantees to apply).
+    Substrate(SubstrateError),
     /// Graph construction failed.
     Graph(GraphError),
     /// An edge-list workload file could not be loaded (driver runs with
@@ -51,8 +49,7 @@ impl fmt::Display for CoreError {
             CoreError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
-            CoreError::Mpc(e) => write!(f, "MPC simulation failed: {e}"),
-            CoreError::Clique(e) => write!(f, "CONGESTED-CLIQUE simulation failed: {e}"),
+            CoreError::Substrate(e) => write!(f, "simulation failed: {e}"),
             CoreError::Graph(e) => write!(f, "graph error: {e}"),
             CoreError::GraphFile { path, source } => {
                 write!(f, "cannot load graph file `{path}`: {source}")
@@ -64,8 +61,7 @@ impl fmt::Display for CoreError {
 impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            CoreError::Mpc(e) => Some(e),
-            CoreError::Clique(e) => Some(e),
+            CoreError::Substrate(e) => Some(e),
             CoreError::Graph(e) => Some(e),
             CoreError::GraphFile { source, .. } => Some(source),
             _ => None,
@@ -73,15 +69,9 @@ impl Error for CoreError {
     }
 }
 
-impl From<MpcError> for CoreError {
-    fn from(e: MpcError) -> Self {
-        CoreError::Mpc(e)
-    }
-}
-
-impl From<CliqueError> for CoreError {
-    fn from(e: CliqueError) -> Self {
-        CoreError::Clique(e)
+impl From<SubstrateError> for CoreError {
+    fn from(e: SubstrateError) -> Self {
+        CoreError::Substrate(e)
     }
 }
 
@@ -104,19 +94,12 @@ mod tests {
         assert!(e.to_string().contains("0.9"));
         assert!(e.source().is_none());
 
-        let e: CoreError = MpcError::Substrate(mmvc_substrate::SubstrateError::RoundProtocol {
+        let e: CoreError = SubstrateError::RoundProtocol {
             substrate: "mpc",
             message: "x",
-        })
+        }
         .into();
-        assert!(e.to_string().contains("MPC"));
-        assert!(e.source().is_some());
-
-        let e: CoreError = CliqueError::Substrate(mmvc_substrate::SubstrateError::RoundProtocol {
-            substrate: "congested-clique",
-            message: "y",
-        })
-        .into();
+        assert!(e.to_string().contains("[mpc]"));
         assert!(e.source().is_some());
 
         let e: CoreError = GraphError::SelfLoop { vertex: 1 }.into();

@@ -17,7 +17,7 @@ use crate::error::CoreError;
 use crate::PAR_CHUNK;
 use mmvc_graph::matching::Matching;
 use mmvc_graph::Graph;
-use mmvc_mpc::{Cluster, MpcConfig};
+use mmvc_substrate::mpc::{Cluster, MpcConfig};
 use mmvc_substrate::{Bitset, ExecutorConfig, Substrate};
 
 /// Configuration for [`filtering_maximal_matching`].
@@ -60,8 +60,9 @@ pub struct FilteringOutcome {
 /// # Errors
 ///
 /// * [`CoreError::InvalidParameter`] for a non-positive `space_factor`.
-/// * [`CoreError::Mpc`] if an unexpected sampling deviation overflows the
-///   machine budget (probability vanishing in the budget slack).
+/// * [`CoreError::Substrate`] if an unexpected sampling deviation
+///   overflows the machine budget (probability vanishing in the budget
+///   slack).
 ///
 /// # Examples
 ///
@@ -92,7 +93,8 @@ pub fn filtering_maximal_matching(
         .scratch()
         .expect("ensure_scratch installs a pool")
         .clone();
-    let mut cluster = Cluster::new(MpcConfig::new(machines, budget)?).with_executor(exec.clone());
+    let mut cluster = Cluster::new(MpcConfig::new(machines, budget)?);
+    cluster.set_telemetry(exec.telemetry());
 
     let mut matching = Matching::empty(n);
     // Word-packed covered-vertex mask mirroring `matching.covers`: the

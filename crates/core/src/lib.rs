@@ -4,7 +4,7 @@
 //! Parallel Computation Algorithms for MIS, Matching, and Vertex Cover"**
 //! (Ghaffari, Gouleakis, Konrad, Mitrović, Rubinfeld — PODC 2018,
 //! arXiv:1802.08237), running on the simulated substrates of
-//! [`mmvc_mpc`] and [`mmvc_clique`].
+//! [`mmvc_substrate::mpc`] and [`mmvc_substrate::clique`].
 //!
 //! ## What's here
 //!

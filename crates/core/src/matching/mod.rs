@@ -7,7 +7,8 @@
 //!    (Sections 4.1, 4.3; Lemma 4.1).
 //! 2. [`mpc_simulation`] — the `O(log log n)`-round MPC simulation
 //!    (Section 4.3; Lemma 4.2), producing a `(2+O(ε))` fractional matching
-//!    and vertex cover.
+//!    and vertex cover; each phase spreads the vertices over machines with
+//!    [`random_vertex_partition`].
 //! 3. [`round_fractional`] — the Lemma 5.1 randomized rounding to an
 //!    integral matching.
 //! 4. [`integral_matching`] — Theorem 1.2: iterated extraction to an
@@ -22,6 +23,7 @@ mod central;
 mod fractional;
 mod integral;
 mod mpc_sim;
+mod partition;
 mod rounding;
 mod weighted;
 
@@ -35,5 +37,6 @@ pub use mpc_sim::{
     mpc_simulation, MpcMatchingConfig, MpcMatchingOutcome, PhaseSchedule, SimDiagnostics,
     ThresholdMode,
 };
+pub use partition::random_vertex_partition;
 pub use rounding::{round_fractional, SAMPLING_DAMPING};
 pub use weighted::{weighted_matching, WeightedMatchingConfig, WeightedMatchingOutcome};

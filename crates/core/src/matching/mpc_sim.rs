@@ -48,11 +48,12 @@ use crate::epsilon::Epsilon;
 use crate::error::CoreError;
 use crate::matching::central::{ThresholdRule, NEVER_FROZEN};
 use crate::matching::fractional::FractionalMatching;
+use crate::matching::partition::random_vertex_partition;
 use crate::PAR_CHUNK;
 use mmvc_graph::rng::hash2;
 use mmvc_graph::vertex_cover::VertexCover;
 use mmvc_graph::{Graph, VertexId};
-use mmvc_mpc::{random_vertex_partition, Cluster, MpcConfig};
+use mmvc_substrate::mpc::{Cluster, MpcConfig};
 use mmvc_substrate::{ExecutorConfig, Substrate};
 
 /// Iterations-per-phase and loop-exit schedule; see the module docs.
@@ -324,9 +325,9 @@ enum PhasePlan {
 ///
 /// # Errors
 ///
-/// * [`CoreError::Mpc`] if a machine's memory budget is exceeded while
-///   gathering an induced subgraph — the simulator verifies the paper's
-///   `O(n)`-per-machine claim instead of assuming it.
+/// * [`CoreError::Substrate`] if a machine's memory budget is exceeded
+///   while gathering an induced subgraph — the simulator verifies the
+///   paper's `O(n)`-per-machine claim instead of assuming it.
 /// * [`CoreError::InvalidParameter`] for a non-positive `space_factor`.
 pub fn mpc_simulation(
     g: &Graph,
@@ -352,8 +353,8 @@ pub fn mpc_simulation(
     // Cluster sized for the first (largest) phase: m = ceil(c·sqrt(n)).
     let max_machines = ((config.machine_factor * (n.max(4) as f64).sqrt()).ceil() as usize).max(2);
     let words = ((config.space_factor * n.max(1) as f64).ceil() as usize).max(16);
-    let mut cluster =
-        Cluster::new(MpcConfig::new(max_machines, words)?).with_executor(config.executor.clone());
+    let mut cluster = Cluster::new(MpcConfig::new(max_machines, words)?);
+    cluster.set_telemetry(config.executor.telemetry());
 
     let thresholds = match config.threshold_mode {
         ThresholdMode::Random => ThresholdRule::Random { seed: config.seed },
@@ -979,7 +980,10 @@ mod tests {
         let err = mpc_simulation(&g, &c).unwrap_err();
         assert!(matches!(
             err,
-            CoreError::Mpc(mmvc_mpc::MpcError::MemoryExceeded { .. })
+            CoreError::Substrate(mmvc_substrate::SubstrateError::LoadExceeded {
+                substrate: "mpc",
+                ..
+            })
         ));
     }
 

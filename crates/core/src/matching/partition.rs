@@ -1,6 +1,6 @@
 //! Vertex-based random partitioning (paper, Sections 3.2 and 4.3).
 //!
-//! Both of the paper's MPC algorithms distribute *vertices* (not edges)
+//! The paper's MPC algorithms distribute *vertices* (not edges)
 //! uniformly at random across machines and have each machine work on the
 //! induced subgraph of its share — the technique introduced for matching in
 //! [CŁM+18]. This module implements that primitive deterministically from a
@@ -23,7 +23,7 @@ use mmvc_graph::VertexId;
 /// # Examples
 ///
 /// ```
-/// use mmvc_mpc::random_vertex_partition;
+/// use mmvc_core::matching::random_vertex_partition;
 /// let verts: Vec<u32> = (0..100).collect();
 /// let parts = random_vertex_partition(&verts, 4, 7);
 /// assert_eq!(parts.len(), 4);
@@ -37,13 +37,6 @@ pub fn random_vertex_partition(vertices: &[VertexId], m: usize, seed: u64) -> Ve
         parts[machine].push(v);
     }
     parts
-}
-
-/// The machine a given vertex is assigned to under
-/// [`random_vertex_partition`] with the same `(m, seed)`.
-pub fn machine_of_vertex(v: VertexId, m: usize, seed: u64) -> usize {
-    assert!(m > 0, "cannot partition into zero machines");
-    (hash2(seed, v as u64) % m as u64) as usize
 }
 
 #[cfg(test)]
@@ -62,17 +55,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn consistent_with_machine_of_vertex() {
-        let verts: Vec<u32> = (0..200).collect();
-        let parts = random_vertex_partition(&verts, 5, 11);
-        for (i, part) in parts.iter().enumerate() {
-            for &v in part {
-                assert_eq!(machine_of_vertex(v, 5, 11), i);
-            }
-        }
     }
 
     #[test]

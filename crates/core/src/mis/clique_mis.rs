@@ -26,10 +26,10 @@ use crate::error::CoreError;
 use crate::mis::ghaffari_local::{ghaffari_local_mis, LocalMisConfig};
 use crate::mis::greedy_mpc::SparsifyThreshold;
 use crate::PAR_CHUNK;
-use mmvc_clique::CliqueNetwork;
 use mmvc_graph::mis::IndependentSet;
 use mmvc_graph::rng::{hash2, invert_permutation, random_permutation};
 use mmvc_graph::{Graph, VertexId};
+use mmvc_substrate::clique::CliqueNetwork;
 use mmvc_substrate::{ExecutorConfig, Substrate};
 
 /// Configuration for [`clique_mis`].
@@ -71,8 +71,7 @@ pub struct CliqueMisOutcome {
     /// The per-round substrate record; `trace.rounds()` is the total
     /// CONGESTED-CLIQUE round count (the Theorem 1.1 quantity) and
     /// `trace.max_load_words()` the largest number of words any player
-    /// received in one round (bounded by `n · bandwidth` — the Lenzen
-    /// precondition).
+    /// received in one round (bounded by `n` — the Lenzen precondition).
     pub trace: mmvc_substrate::ExecutionTrace,
 }
 
@@ -82,8 +81,10 @@ fn route_batched(
     net: &mut CliqueNetwork,
     messages: &[(usize, usize, usize)],
 ) -> Result<usize, CoreError> {
+    // Lenzen's precondition: every player sends and receives at most `n`
+    // words per routing instance.
     let n = net.num_players();
-    let capacity = n * net.words_per_pair();
+    let capacity = n;
     let mut rounds = 0usize;
     let mut batch: Vec<(usize, usize, usize)> = Vec::new();
     let mut out = vec![0usize; n];
@@ -116,8 +117,9 @@ fn route_batched(
 /// # Errors
 ///
 /// * [`CoreError::InvalidParameter`] for `alpha` outside `(0, 1)`.
-/// * [`CoreError::Clique`] if the simulated network rejects an operation
-///   (cannot happen for valid graphs thanks to batched routing).
+/// * [`CoreError::Substrate`] if the simulated network rejects an
+///   operation (cannot happen for valid graphs thanks to batched
+///   routing).
 ///
 /// # Examples
 ///

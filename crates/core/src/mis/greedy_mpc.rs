@@ -27,7 +27,7 @@ use crate::PAR_CHUNK;
 use mmvc_graph::mis::IndependentSet;
 use mmvc_graph::rng::{hash2, invert_permutation, random_permutation};
 use mmvc_graph::{Graph, VertexId};
-use mmvc_mpc::{Cluster, MpcConfig};
+use mmvc_substrate::mpc::{Cluster, MpcConfig};
 use mmvc_substrate::{Bitset, ExecutorConfig, Substrate};
 
 /// Where the rank-prefix phases hand off to the sparsified subroutine.
@@ -108,8 +108,9 @@ pub struct GreedyMisOutcome {
 ///
 /// * [`CoreError::InvalidParameter`] for `alpha` outside `(0, 1)` or a
 ///   non-positive `space_factor`.
-/// * [`CoreError::Mpc`] if a shipped subgraph overflows the per-machine
-///   budget (the paper's `O(n)` bound failing at this configuration).
+/// * [`CoreError::Substrate`] if a shipped subgraph overflows the
+///   per-machine budget (the paper's `O(n)` bound failing at this
+///   configuration).
 ///
 /// # Examples
 ///
@@ -144,7 +145,8 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
         .scratch()
         .expect("ensure_scratch installs a pool")
         .clone();
-    let mut cluster = Cluster::new(MpcConfig::new(machines, budget)?).with_executor(exec.clone());
+    let mut cluster = Cluster::new(MpcConfig::new(machines, budget)?);
+    cluster.set_telemetry(exec.telemetry());
 
     // The uniform ranking π (Section 3.1).
     let perm = random_permutation(n, config.seed);
@@ -428,7 +430,10 @@ mod tests {
         let err = greedy_mpc_mis(&g, &cfg).unwrap_err();
         assert!(matches!(
             err,
-            CoreError::Mpc(mmvc_mpc::MpcError::MemoryExceeded { .. })
+            CoreError::Substrate(mmvc_substrate::SubstrateError::LoadExceeded {
+                substrate: "mpc",
+                ..
+            })
         ));
     }
 

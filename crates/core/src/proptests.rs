@@ -6,8 +6,8 @@ use crate::baselines::{luby_maximal_matching, luby_mis};
 use crate::epsilon::Epsilon;
 use crate::filtering::{filtering_maximal_matching, FilteringConfig};
 use crate::matching::{
-    augmentation_pass, central_rand, integral_matching, mpc_simulation, round_fractional,
-    IntegralMatchingConfig, MpcMatchingConfig,
+    augmentation_pass, central_rand, integral_matching, mpc_simulation, random_vertex_partition,
+    round_fractional, IntegralMatchingConfig, MpcMatchingConfig,
 };
 use crate::mis::{greedy_mpc_mis, GreedyMisConfig};
 use mmvc_graph::matching::{blossom, greedy_maximal_matching};
@@ -120,5 +120,13 @@ proptest! {
             .expect("fits budget");
         let budget = (8.0 * g.num_vertices().max(1) as f64).ceil() as usize;
         prop_assert!(out.trace.max_load_words() <= budget.max(16));
+    }
+
+    #[test]
+    fn partition_always_exhaustive(n in 0usize..500, m in 1usize..12, seed: u64) {
+        let verts: Vec<u32> = (0..n as u32).collect();
+        let parts = random_vertex_partition(&verts, m, seed);
+        prop_assert_eq!(parts.len(), m);
+        prop_assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), n);
     }
 }

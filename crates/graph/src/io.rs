@@ -90,7 +90,9 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, ReadError> {
 /// # Errors
 ///
 /// [`ReadError`] on malformed lines, out-of-range vertices, self-loops,
-/// or (as [`GraphError::InvalidParameter`]) a vertex count above the cap.
+/// or (as [`GraphError::InvalidParameter`]) a vertex count above the cap
+/// or above the 2³² ids a [`VertexId`](crate::VertexId) can address —
+/// the latter refused with or without a cap.
 pub fn read_edge_list_capped<R: Read>(reader: R, max_n: Option<usize>) -> Result<Graph, ReadError> {
     let reader = BufReader::new(reader);
     let mut declared_n: Option<usize> = None;
@@ -136,6 +138,15 @@ pub fn read_edge_list_capped<R: Read>(reader: R, max_n: Option<usize>) -> Result
     }
 
     let n = declared_n.unwrap_or(if any_vertex { max_id as usize + 1 } else { 0 });
+    // Vertex ids are `u32`, so no graph has more than 2^32 vertices.
+    if n as u64 > 1 << 32 {
+        return Err(ReadError::Graph(GraphError::InvalidParameter {
+            name: "n",
+            message: format!(
+                "edge list declares {n} vertices, more than the 2^32 a u32 vertex id can address"
+            ),
+        }));
+    }
     if let Some(cap) = max_n {
         if n > cap {
             return Err(ReadError::Graph(GraphError::InvalidParameter {
@@ -253,6 +264,26 @@ mod tests {
         // Under the cap, identical to the uncapped reader.
         let ok = read_edge_list_capped("0 5\n".as_bytes(), Some(1 << 17)).unwrap();
         assert_eq!(ok.num_vertices(), 6);
+    }
+
+    #[test]
+    fn refuses_vertex_counts_beyond_u32_ids() {
+        // Both headers are refused by arithmetic before anything is
+        // built, with or without an admission cap.
+        for header in ["18446744073709551615", "8589934592"] {
+            let text = format!("# vertices: {header}\n0 1\n");
+            for cap in [None, Some(1 << 17)] {
+                let err = read_edge_list_capped(text.as_bytes(), cap).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        ReadError::Graph(GraphError::InvalidParameter { name: "n", .. })
+                    ),
+                    "{header}: {err}"
+                );
+                assert!(err.to_string().contains("2^32"), "{err}");
+            }
+        }
     }
 
     #[test]

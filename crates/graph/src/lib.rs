@@ -65,7 +65,7 @@ pub use graph::{Edge, EdgeIter, EdgesView, Graph, GraphBuilder, OffsetArray, Ver
 #[cfg(test)]
 mod proptests {
     use crate::{
-        generators, matching, mis, scenarios, vertex_cover, Graph, GraphBuilder, GraphDelta,
+        generators, io, matching, mis, scenarios, vertex_cover, Graph, GraphBuilder, GraphDelta,
     };
     use mmvc_substrate::ExecutorConfig;
     use proptest::prelude::*;
@@ -221,6 +221,33 @@ mod proptests {
                 .collect();
             let m = matching::Matching::new(&g, pairs).expect("independent edges are a matching");
             prop_assert!(m.is_maximal(&g));
+        }
+
+        #[test]
+        fn edge_list_reader_never_panics(
+            raw in proptest::collection::vec(any::<u8>(), 0..256),
+            lines in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..8)
+        ) {
+            // Arbitrary bytes, and documents assembled from the format's
+            // own pieces so that headers, edges and bad ids actually occur.
+            const IDS: [&str; 8] =
+                ["0", "1", "7", "65535", "65536", "4294967295", "18446744073709551615", "x"];
+            let id = |b: u8| IDS[b as usize % IDS.len()];
+            let doc: String = lines
+                .iter()
+                .map(|&(kind, a, b)| match kind % 4 {
+                    0 => format!("# vertices: {}\n", id(b)),
+                    1 | 2 => format!("{} {}\n", id(a), id(b)),
+                    _ => format!("{}\n", id(a)),
+                })
+                .collect();
+            for bytes in [raw.as_slice(), doc.as_bytes()] {
+                if let Ok(g) = io::read_edge_list_capped(bytes, Some(1 << 16)) {
+                    let mut buf = Vec::new();
+                    io::write_edge_list(&g, &mut buf).expect("writes to a Vec");
+                    prop_assert_eq!(io::read_edge_list(buf.as_slice()).expect("round-trips"), g);
+                }
+            }
         }
     }
 }

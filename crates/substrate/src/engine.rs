@@ -1,12 +1,10 @@
 //! The shared round engine: the open-round state machine both simulated
 //! substrates drive.
 //!
-//! Before this layer existed, `mmvc_mpc::Cluster` and
-//! `mmvc_clique::CliqueNetwork` each hand-rolled the same lifecycle —
-//! open a round, accumulate per-slot loads, close the round into a
-//! [`RoundSummary`], reject protocol misuse — differing only in *policy*
-//! (what a "slot" is and which budget a charge is checked against).
-//! [`RoundLedger`] owns the mechanism; the simulators keep the policy:
+//! [`RoundLedger`] owns the lifecycle — open a round, accumulate per-slot
+//! loads, close the round into a [`RoundSummary`], reject protocol misuse.
+//! The simulators ([`Cluster`](crate::mpc::Cluster),
+//! [`CliqueNetwork`](crate::clique::CliqueNetwork)) keep the *policy*:
 //!
 //! * a **slot** is a machine (MPC) or a player (CONGESTED-CLIQUE);
 //! * a **charge** is words received by / addressed to that slot in the
@@ -15,11 +13,11 @@
 //!   `total_words = Σ loads` — the two quantities the paper's theorems
 //!   bound.
 //!
-//! Budget enforcement stays in the wrappers (a memory violation names a
-//! machine, a bandwidth violation names a link); the ledger only reports
-//! the substrate-agnostic failures ([`SubstrateError::RoundProtocol`],
-//! [`SubstrateError::InvalidAddress`]) that were previously duplicated in
-//! both simulators.
+//! Budget enforcement stays in the simulators, which check their model's
+//! capacity (machine memory, Lenzen's routing precondition) before
+//! charging; the ledger itself reports only protocol misuse
+//! ([`SubstrateError::RoundProtocol`]) and out-of-range slots
+//! ([`SubstrateError::InvalidAddress`]).
 //!
 //! ```
 //! use mmvc_substrate::RoundLedger;
@@ -182,10 +180,8 @@ impl RoundLedger {
     /// Charges `words` to `slot` in the open round, returning the slot's
     /// new cumulative load.
     ///
-    /// The ledger enforces no budget — wrappers check their model's
-    /// capacity against [`load`](Self::load) *before* charging, so their
-    /// error variants keep the model vocabulary (machine memory vs link
-    /// bandwidth).
+    /// The ledger enforces no budget — the simulators check their model's
+    /// capacity against [`load`](Self::load) *before* charging.
     ///
     /// # Errors
     ///
@@ -224,20 +220,26 @@ impl RoundLedger {
         };
         self.trace.record(summary);
         if let Some(opened) = self.open_at.take() {
-            self.telemetry.record_span(
-                "round",
-                Some(self.substrate),
-                opened,
-                &[
-                    ("round", summary.round as u64),
-                    ("total_words", summary.total_words as u64),
-                    ("max_load_words", summary.max_load_words as u64),
-                ],
-            );
-            self.telemetry
-                .counter("round.total_words", summary.total_words as u64);
+            self.emit_round(summary, opened);
         }
         Ok(summary)
+    }
+
+    /// Emits the `round` span and the `round.total_words` counter of one
+    /// completed round; called only while telemetry is enabled.
+    fn emit_round(&self, summary: RoundSummary, opened: Instant) {
+        self.telemetry.record_span(
+            "round",
+            Some(self.substrate),
+            opened,
+            &[
+                ("round", summary.round as u64),
+                ("total_words", summary.total_words as u64),
+                ("max_load_words", summary.max_load_words as u64),
+            ],
+        );
+        self.telemetry
+            .counter("round.total_words", summary.total_words as u64);
     }
 
     /// Drops the open round (if any) without recording it — the error
@@ -251,7 +253,8 @@ impl RoundLedger {
     /// primitive, attributing `total_words` and a per-slot peak of
     /// `max_load_words` to the first of them (the convention for block
     /// primitives such as Lenzen routing, whose traffic the model charges
-    /// as a unit).
+    /// as a unit). Each round emits the same telemetry as one closed by
+    /// [`end_round`](Self::end_round).
     ///
     /// # Errors
     ///
@@ -263,26 +266,25 @@ impl RoundLedger {
         max_load_words: usize,
     ) -> Result<(), SubstrateError> {
         self.ensure_no_open_round()?;
+        let traced = self.telemetry.is_enabled();
         for i in 0..k {
+            let opened = traced.then(Instant::now);
             let (total, max_load) = if i == 0 {
                 (total_words, max_load_words)
             } else {
                 (0, 0)
             };
-            self.trace.record(RoundSummary {
+            let summary = RoundSummary {
                 round: self.trace.rounds() + 1,
                 max_load_words: max_load,
                 total_words: total,
-            });
+            };
+            self.trace.record(summary);
+            if let Some(opened) = opened {
+                self.emit_round(summary, opened);
+            }
         }
         Ok(())
-    }
-
-    /// Merges the trace of a nested computation (e.g. a subroutine run on
-    /// its own simulator handle) into this ledger's trace, renumbering its
-    /// rounds.
-    pub fn absorb(&mut self, other: &ExecutionTrace) {
-        self.trace.absorb(other);
     }
 }
 
@@ -417,17 +419,22 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_subtrace() {
-        let mut l = RoundLedger::new("test", 1);
-        l.record_completed(1, 3, 3).unwrap();
-        let mut sub = ExecutionTrace::new();
-        sub.record(RoundSummary {
-            round: 1,
-            max_load_words: 7,
-            total_words: 7,
-        });
-        l.absorb(&sub);
-        assert_eq!(l.trace().rounds(), 2);
-        assert_eq!(l.trace().per_round()[1].round, 2);
+    fn block_charged_rounds_emit_one_span_each() {
+        let tel = Telemetry::recording();
+        let mut l = RoundLedger::new("congested-clique", 4);
+        l.set_telemetry(&tel);
+        l.record_completed(3, 12, 5).unwrap();
+        let events = tel.drain();
+        let rounds: Vec<_> = events.iter().filter(|e| e.name == "round").collect();
+        assert_eq!(rounds.len(), 3, "one span per recorded round");
+        assert!(rounds[0].args.contains(&("total_words", 12)));
+        assert!(rounds[2].args.contains(&("round", 3)));
+        assert_eq!(
+            events
+                .iter()
+                .filter(|e| e.name == "round.total_words")
+                .count(),
+            3
+        );
     }
 }

@@ -1,25 +1,25 @@
-//! The substrate-agnostic error type.
+//! The one error type of the simulated substrates.
 //!
-//! Both simulated substrates (`mmvc-mpc`, `mmvc-clique`) keep their own
-//! model-specific error enums — a memory-budget violation names a machine,
-//! a bandwidth violation names a link — but every variant converts into
-//! [`SubstrateError`] (each substrate crate provides the `From` impl), so
-//! harness code can handle "the substrate rejected this execution"
-//! uniformly without matching on which substrate ran.
+//! The MPC cluster, the CONGESTED-CLIQUE network and the round ledger
+//! under both report every failure as a [`SubstrateError`]; the
+//! `substrate` field names the model and `location` names the machine or
+//! player, so harness code handles "the substrate rejected this
+//! execution" without matching on which substrate ran.
 
 use std::error::Error;
 use std::fmt;
 
-/// A substrate-agnostic view of a simulation failure.
+/// A simulation failure, in the vocabulary shared by both models.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SubstrateError {
-    /// A per-round capacity (machine memory, link bandwidth, routing
-    /// precondition…) was exceeded.
+    /// A capacity was exceeded: a machine's per-round memory (MPC) or
+    /// Lenzen's routing precondition (CONGESTED-CLIQUE).
     LoadExceeded {
         /// Which substrate rejected the execution (e.g. `"mpc"`).
         substrate: &'static str,
-        /// What overflowed, e.g. `"machine 3"` or `"link 0->1"`.
+        /// What overflowed, e.g. `"machine 3"` or `"player 0 as
+        /// receiver"`.
         location: String,
         /// The round of the violation (1-based), if attributable.
         round: Option<usize>,

@@ -1,8 +1,8 @@
 //! Execution traces: the measured quantities every experiment reports.
 //!
-//! Moved here from `mmvc-mpc` so that both simulated substrates (MPC and
-//! CONGESTED-CLIQUE) record their executions in one format and the
-//! harness can report claimed-vs-measured numbers through one code path.
+//! Both simulated substrates (MPC and CONGESTED-CLIQUE) record their
+//! executions in this one format, so the harness reports
+//! claimed-vs-measured numbers through one code path.
 
 /// Summary of one completed substrate round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,18 +65,6 @@ impl ExecutionTrace {
     pub fn total_words(&self) -> usize {
         self.rounds.iter().map(|r| r.total_words).sum()
     }
-
-    /// Merges another trace (e.g. a sub-phase) into this one, renumbering
-    /// its rounds to follow the current last round.
-    pub fn absorb(&mut self, other: &ExecutionTrace) {
-        let base = self.rounds.len();
-        for (i, r) in other.rounds.iter().enumerate() {
-            self.rounds.push(RoundSummary {
-                round: base + i + 1,
-                ..*r
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,31 +95,5 @@ mod tests {
         assert_eq!(t.rounds(), 2);
         assert_eq!(t.max_load_words(), 25);
         assert_eq!(t.total_words(), 55);
-    }
-
-    #[test]
-    fn absorb_renumbers() {
-        let mut a = ExecutionTrace::new();
-        a.record(RoundSummary {
-            round: 1,
-            max_load_words: 1,
-            total_words: 1,
-        });
-        let mut b = ExecutionTrace::new();
-        b.record(RoundSummary {
-            round: 1,
-            max_load_words: 2,
-            total_words: 2,
-        });
-        b.record(RoundSummary {
-            round: 2,
-            max_load_words: 3,
-            total_words: 3,
-        });
-        a.absorb(&b);
-        assert_eq!(a.rounds(), 3);
-        assert_eq!(a.per_round()[1].round, 2);
-        assert_eq!(a.per_round()[2].round, 3);
-        assert_eq!(a.max_load_words(), 3);
     }
 }

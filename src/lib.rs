@@ -7,13 +7,11 @@
 //!
 //! * [`graph`] ([`mmvc_graph`]) — CSR graphs, generators, exact matching
 //!   solvers (blossom, Hopcroft–Karp), validators;
-//! * [`mpc`] ([`mmvc_mpc`]) — a metered simulator of the MPC model
-//!   (machines × words, rounds, budget enforcement);
-//! * [`clique`] ([`mmvc_clique`]) — a metered CONGESTED-CLIQUE simulator
-//!   (per-pair bandwidth, Lenzen routing);
-//! * [`substrate`] ([`mmvc_substrate`]) — the shared metering layer: the
-//!   [`Substrate`](mmvc_substrate::Substrate) trait both simulators
-//!   implement, the unified `ExecutionTrace`, and the substrate-agnostic
+//! * [`substrate`] ([`mmvc_substrate`]) — the metered simulators of the
+//!   MPC model ([`substrate::mpc`]: machines × words, rounds, budget
+//!   enforcement) and of CONGESTED-CLIQUE ([`substrate::clique`]: Lenzen
+//!   routing), the [`Substrate`](mmvc_substrate::Substrate) trait both
+//!   implement, the unified `ExecutionTrace`, and their one error type
 //!   `SubstrateError`;
 //! * [`core`] ([`mmvc_core`]) — the paper's algorithms: `O(log log Δ)`-round
 //!   MIS (Theorem 1.1), `Central`/`Central-Rand`/`MPC-Simulation`
@@ -48,16 +46,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use mmvc_clique as clique;
 pub use mmvc_core as core;
 pub use mmvc_graph as graph;
-pub use mmvc_mpc as mpc;
 pub use mmvc_serve as serve;
 pub use mmvc_substrate as substrate;
 
 /// Convenient single-import surface for the common workflow.
 pub mod prelude {
-    pub use mmvc_clique::CliqueNetwork;
     pub use mmvc_core::baselines::luby_mis;
     pub use mmvc_core::filtering::{filtering_maximal_matching, FilteringConfig};
     pub use mmvc_core::matching::{
@@ -74,7 +69,8 @@ pub mod prelude {
     pub use mmvc_graph::{
         generators, matching, mis, scenarios, vertex_cover, weighted, Graph, GraphBuilder,
     };
-    pub use mmvc_mpc::{Cluster, MpcConfig};
+    pub use mmvc_substrate::clique::CliqueNetwork;
+    pub use mmvc_substrate::mpc::{Cluster, MpcConfig};
     pub use mmvc_substrate::{
         ExecutionTrace, ExecutorConfig, RoundLedger, RoundSummary, Substrate, SubstrateError,
     };

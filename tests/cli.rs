@@ -1,8 +1,9 @@
 //! End-to-end tests of the `mmvc` binary's command line: `run
 //! --canonical` prints exactly the body the daemon serves, every
 //! file-based subcommand rejects a misspelled flag or a flag missing its
-//! value instead of silently running with a default, and the removed
-//! transport subcommands get the unknown-command error.
+//! value instead of silently running with a default, an edge list that
+//! declares more vertices than `u32` ids can address is a clean error,
+//! and the removed transport subcommands get the unknown-command error.
 
 use mmvc::core::run::{run, AlgorithmKind, RunSpec};
 use mmvc::serve::canonical_report_body;
@@ -94,6 +95,18 @@ fn file_subcommands_reject_unknown_and_valueless_flags() {
     check_subcommand(&["stats", g], ["--sed", "7"], "--seed", &[]);
     let gen = ["gen", "gnp", "40", "0.1"];
     check_subcommand(&gen, ["--sed", "7"], "--seed", &["--seed", "3"]);
+    std::fs::remove_file(&path).ok();
+}
+
+/// A tiny edge list declaring `u64::MAX` vertices is refused with a
+/// one-line error and exit code 1, not a capacity-overflow panic.
+#[test]
+fn stats_refuses_a_vertex_count_beyond_u32_ids() {
+    let path = std::env::temp_dir().join(format!("mmvc_cli_huge_n_{}.txt", std::process::id()));
+    std::fs::write(&path, "# vertices: 18446744073709551615\n0 1\n").unwrap();
+    let path = path.to_str().unwrap().to_string();
+    assert_rejected(&["stats", &path], "2^32");
+    assert_eq!(mmvc(&["stats", &path]).status.code(), Some(1));
     std::fs::remove_file(&path).ok();
 }
 

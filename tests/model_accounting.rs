@@ -8,8 +8,7 @@ use mmvc::core::matching::{mpc_simulation, MpcMatchingConfig, PhaseSchedule};
 use mmvc::core::mis::{clique_mis, greedy_mpc_mis, CliqueMisConfig, GreedyMisConfig};
 use mmvc::core::{CoreError, Epsilon};
 use mmvc::graph::generators;
-use mmvc::mpc::MpcError;
-use mmvc::substrate::ExecutorConfig;
+use mmvc::substrate::{ExecutorConfig, SubstrateError};
 
 fn eps() -> Epsilon {
     Epsilon::new(0.1).expect("valid eps")
@@ -73,14 +72,15 @@ fn starved_budget_fails_with_memory_error_not_wrong_answer() {
     let mut cfg = MpcMatchingConfig::new(eps(), 3);
     cfg.space_factor = 0.02;
     match mpc_simulation(&g, &cfg) {
-        Err(CoreError::Mpc(MpcError::MemoryExceeded {
+        Err(CoreError::Substrate(SubstrateError::LoadExceeded {
+            substrate: "mpc",
             attempted_words,
             budget_words,
             ..
         })) => {
             assert!(attempted_words > budget_words);
         }
-        other => panic!("expected MemoryExceeded, got {other:?}"),
+        other => panic!("expected an MPC LoadExceeded, got {other:?}"),
     }
 }
 
@@ -201,16 +201,25 @@ fn engine_determinism_matching_and_filtering() {
 
 #[test]
 fn clique_bandwidth_budget_binds() {
-    use mmvc::clique::{CliqueError, CliqueNetwork};
+    use mmvc::substrate::clique::CliqueNetwork;
+    use mmvc::substrate::Substrate;
     let mut net = CliqueNetwork::new(64).unwrap();
     // A full all-to-all of 3 words costs exactly 3 rounds at 1 word/pair.
     assert_eq!(net.all_to_all(3).unwrap(), 3);
-    // Oversubscribing a single link in one round fails.
-    let err = net
-        .round(|r| {
-            r.send(0, 1, 1)?;
-            r.send(0, 1, 1)
-        })
-        .unwrap_err();
-    assert!(matches!(err, CliqueError::BandwidthExceeded { .. }));
+    // A routing instance that sends player 1 more than n = 64 words
+    // violates Lenzen's precondition, and the refused route records no
+    // round.
+    let msgs: Vec<(usize, usize, usize)> = (2..34).map(|p| (p, 1, 3)).collect();
+    let err = net.lenzen_route(&msgs).unwrap_err();
+    assert!(matches!(
+        err,
+        SubstrateError::LoadExceeded {
+            substrate: "congested-clique",
+            round: None,
+            attempted_words: 96,
+            budget_words: 64,
+            ..
+        }
+    ));
+    assert_eq!(net.rounds(), 3);
 }

@@ -2,6 +2,7 @@
 //! crates, on multiple graph families, checking the paper's guarantees
 //! against exact optima.
 
+use mmvc::graph::io;
 use mmvc::prelude::*;
 
 fn eps() -> Epsilon {
@@ -210,4 +211,17 @@ fn deterministic_end_to_end() {
     assert_eq!(a.matching.edges(), b.matching.edges());
     assert_eq!(a.cover.members(), b.cover.members());
     assert_eq!(a.total_rounds, b.total_rounds);
+}
+
+#[test]
+fn io_roundtrip_through_temp_file() {
+    let g = generators::watts_strogatz(100, 6, 0.2, 4).unwrap();
+    let path = std::env::temp_dir().join("mmvc_io_roundtrip_test.txt");
+    {
+        let file = std::fs::File::create(&path).unwrap();
+        io::write_edge_list(&g, file).unwrap();
+    }
+    let back = io::read_edge_list(std::fs::File::open(&path).unwrap()).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(g, back);
 }

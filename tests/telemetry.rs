@@ -188,3 +188,28 @@ fn set_enabled_gates_recording_in_place() {
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].name, "live");
 }
+
+/// Every round a metered kind records emits exactly one `round` span,
+/// including the rounds the clique charges as a block (Lenzen routing,
+/// all-to-all, neighbor notification).
+#[test]
+fn round_spans_match_reported_rounds() {
+    for kind in [
+        AlgorithmKind::GreedyMis,
+        AlgorithmKind::CliqueMis,
+        AlgorithmKind::MpcMatching,
+        AlgorithmKind::Filtering,
+    ] {
+        let telemetry = Telemetry::recording();
+        let mut spec = small_spec(kind, "gnp-sparse");
+        spec.executor = ExecutorConfig::sequential().with_telemetry(&telemetry);
+        let report = run(&spec).unwrap();
+        let spans = telemetry
+            .drain()
+            .iter()
+            .filter(|e| e.kind == EventKind::Span && e.name == "round")
+            .count();
+        assert!(report.substrate.rounds > 0, "{kind}: no rounds metered");
+        assert_eq!(spans, report.substrate.rounds, "{kind}");
+    }
+}
