@@ -27,10 +27,10 @@ use crate::mis::ghaffari_local::{ghaffari_local_mis, LocalMisConfig};
 use crate::mis::greedy_mpc::SparsifyThreshold;
 use crate::PAR_CHUNK;
 use mmvc_graph::mis::IndependentSet;
-use mmvc_graph::rng::{hash2, invert_permutation, random_permutation};
+use mmvc_graph::rng::{hash2, random_permutation};
 use mmvc_graph::{Graph, VertexId};
 use mmvc_substrate::clique::CliqueNetwork;
-use mmvc_substrate::{ExecutorConfig, Substrate};
+use mmvc_substrate::{Bitset, ExecutorConfig, Substrate};
 
 /// Configuration for [`clique_mis`].
 #[derive(Debug, Clone, PartialEq)]
@@ -148,16 +148,24 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
             trace: mmvc_substrate::ExecutionTrace::new(),
         });
     }
+    let exec = config.executor.clone().ensure_scratch();
+    let pool = exec
+        .scratch()
+        .expect("ensure_scratch installs a pool")
+        .clone();
+    let telemetry = exec.telemetry();
     let mut net = CliqueNetwork::new(n)?;
-    net.set_telemetry(config.executor.telemetry());
-    let exec = config.executor.clone();
+    net.set_telemetry(telemetry);
     const LEADER: usize = 0;
 
     // Step 1: agree on the random order. Player 0 draws it and tells each
     // player its position (one word per player, one routing instance);
     // then everyone broadcasts its position (one all-to-all word).
-    let perm = random_permutation(n, config.seed);
-    let ranks = invert_permutation(&perm);
+    // `perm` lists the vertices in rank order.
+    let perm = {
+        let _span = telemetry.span("mis.permutation");
+        random_permutation(n, config.seed)
+    };
     let tell_positions: Vec<(usize, usize, usize)> = (0..n)
         .filter(|&p| p != LEADER)
         .map(|p| (LEADER, p, 1))
@@ -165,8 +173,10 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
     route_batched(&mut net, &tell_positions)?;
     net.all_to_all(1)?;
 
-    let mut in_mis = vec![false; n];
-    let mut alive = vec![true; n];
+    let mut in_mis = Bitset::new_in(&pool, n);
+    // `alive`: not yet decided (not in MIS, not an MIS neighbor).
+    let mut alive = Bitset::new_in(&pool, n);
+    alive.set_all();
     let delta = g.max_degree();
     let tau = config.sparsify.value(n);
     let mut prefix_phases = 0usize;
@@ -180,14 +190,14 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
                 (((n as f64) / delta_f.powf(exponent)).ceil() as usize).clamp(prev_rank + 1, n);
             let batch: Vec<VertexId> = (prev_rank..rank_bound)
                 .map(|r| perm[r])
-                .filter(|&v| alive[v as usize])
+                .filter(|&v| alive.get(v as usize))
                 .collect();
 
             if !batch.is_empty() {
                 let in_batch = {
-                    let mut mask = vec![false; n];
+                    let mut mask = Bitset::new_in(&pool, n);
                     for &v in &batch {
-                        mask[v as usize] = true;
+                        mask.set(v as usize);
                     }
                     mask
                 };
@@ -205,7 +215,7 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
                                     .neighbors(v)
                                     .iter()
                                     .filter(|&&u| {
-                                        in_batch[u as usize] && alive[u as usize] && u > v
+                                        in_batch.get(u as usize) && alive.get(u as usize) && u > v
                                     })
                                     .count();
                                 (edge_words > 0).then_some((v as usize, LEADER, edge_words))
@@ -215,17 +225,17 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
                     .into_iter()
                     .flatten()
                     .collect();
+                in_batch.recycle(&pool);
                 route_batched(&mut net, &messages)?;
 
-                // Leader computes the greedy additions in rank order.
-                let mut order = batch.clone();
-                order.sort_unstable_by_key(|&v| ranks[v as usize]);
-                for &v in &order {
-                    if !alive[v as usize] {
+                // Leader computes the greedy additions in rank order, the
+                // order the batch was built in.
+                for &v in &batch {
+                    if !alive.get(v as usize) {
                         continue;
                     }
-                    if !g.neighbors(v).iter().any(|&u| in_mis[u as usize]) {
-                        in_mis[v as usize] = true;
+                    if !g.neighbors(v).iter().any(|&u| in_mis.get(u as usize)) {
+                        in_mis.set(v as usize);
                     }
                 }
 
@@ -238,14 +248,14 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
                 route_batched(&mut net, &answers)?;
                 net.charge_rounds(1)?; // neighbor notification
 
-                for &v in &order {
-                    if in_mis[v as usize] {
-                        alive[v as usize] = false;
+                for &v in &batch {
+                    if in_mis.get(v as usize) {
+                        alive.clear(v as usize);
                         for &u in g.neighbors(v) {
-                            alive[u as usize] = false;
+                            alive.clear(u as usize);
                         }
                     } else {
-                        alive[v as usize] = false;
+                        alive.clear(v as usize);
                     }
                 }
             }
@@ -257,11 +267,11 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
             let residual_degree = exec
                 .run_chunked(n, PAR_CHUNK, |range| {
                     range
-                        .filter(|&v| alive[v])
+                        .filter(|&v| alive.get(v))
                         .map(|v| {
                             g.neighbors(v as u32)
                                 .iter()
-                                .filter(|&&u| alive[u as usize])
+                                .filter(|&&u| alive.get(u as usize))
                                 .count()
                         })
                         .max()
@@ -284,43 +294,44 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
         max_rounds: (2.0 * (tau.max(2) as f64).log2().ceil()) as usize + 4,
         target_edges: n,
     };
-    let local = ghaffari_local_mis(g, &alive, &local_cfg);
-    for v in 0..n {
-        if local.in_mis[v] {
-            in_mis[v] = true;
-        }
-        if local.decided[v] {
-            alive[v] = false;
-        }
-    }
+    let local = ghaffari_local_mis(g, &mut in_mis, &mut alive, &local_cfg, &exec);
     net.charge_rounds(local.rounds)?;
 
     // Final residue (O(n) edges) to the leader, finish greedily, answer.
-    let remaining: Vec<VertexId> = (0..n as u32).filter(|&v| alive[v as usize]).collect();
-    if !remaining.is_empty() {
-        let messages: Vec<(usize, usize, usize)> = exec
-            .run_chunked(remaining.len(), PAR_CHUNK, |range| {
-                remaining[range]
-                    .iter()
-                    .filter_map(|&v| {
-                        let words = 2 * g
-                            .neighbors(v)
-                            .iter()
-                            .filter(|&&u| alive[u as usize] && u > v)
-                            .count();
-                        (words > 0).then_some((v as usize, LEADER, words))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+    let mut span = telemetry.span("mis.gather");
+    let remaining = alive.count_ones();
+    let messages: Vec<(usize, usize, usize)> = if remaining == 0 {
+        Vec::new()
+    } else {
+        exec.run_chunked(n, PAR_CHUNK, |range| {
+            range
+                .filter(|&v| alive.get(v))
+                .filter_map(|v| {
+                    let words = 2 * g
+                        .forward_neighbors(v as u32)
+                        .iter()
+                        .filter(|&&u| alive.get(u as usize))
+                        .count();
+                    (words > 0).then_some((v, LEADER, words))
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
+    };
+    span.arg("remaining", remaining as u64);
+    span.arg(
+        "words",
+        messages.iter().map(|&(_, _, w)| w as u64).sum::<u64>(),
+    );
+    if remaining > 0 {
         route_batched(&mut net, &messages)?;
-        let mut order = remaining.clone();
-        order.sort_unstable_by_key(|&v| ranks[v as usize]);
-        for &v in &order {
-            if !g.neighbors(v).iter().any(|&u| in_mis[u as usize]) {
-                in_mis[v as usize] = true;
+        // Walking π and skipping decided vertices visits the residue in
+        // rank order.
+        for &v in perm.iter().filter(|&&v| alive.get(v as usize)) {
+            if !g.neighbors(v).iter().any(|&u| in_mis.get(u as usize)) {
+                in_mis.set(v as usize);
             }
         }
         let answers: Vec<(usize, usize, usize)> = (0..n)
@@ -329,8 +340,11 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
             .collect();
         route_batched(&mut net, &answers)?;
     }
+    drop(span);
 
-    let members: Vec<VertexId> = (0..n as u32).filter(|&v| in_mis[v as usize]).collect();
+    let members: Vec<VertexId> = in_mis.iter_ones().map(|v| v as VertexId).collect();
+    alive.recycle(&pool);
+    in_mis.recycle(&pool);
     let mis =
         IndependentSet::new(g, members).expect("greedy construction yields an independent set");
     debug_assert!(mis.is_maximal(g));

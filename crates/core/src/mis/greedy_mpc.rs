@@ -25,7 +25,7 @@ use crate::error::CoreError;
 use crate::mis::ghaffari_local::{ghaffari_local_mis, LocalMisConfig};
 use crate::PAR_CHUNK;
 use mmvc_graph::mis::IndependentSet;
-use mmvc_graph::rng::{hash2, invert_permutation, random_permutation};
+use mmvc_graph::rng::{hash2, random_permutation};
 use mmvc_graph::{Graph, VertexId};
 use mmvc_substrate::mpc::{Cluster, MpcConfig};
 use mmvc_substrate::{Bitset, ExecutorConfig, Substrate};
@@ -146,11 +146,15 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
         .expect("ensure_scratch installs a pool")
         .clone();
     let mut cluster = Cluster::new(MpcConfig::new(machines, budget)?);
-    cluster.set_telemetry(exec.telemetry());
+    let telemetry = exec.telemetry();
+    cluster.set_telemetry(telemetry);
 
-    // The uniform ranking π (Section 3.1).
-    let perm = random_permutation(n, config.seed);
-    let ranks = invert_permutation(&perm);
+    // The uniform ranking π (Section 3.1): `perm` lists the vertices in
+    // rank order.
+    let perm = {
+        let _span = telemetry.span("mis.permutation");
+        random_permutation(n, config.seed)
+    };
 
     // Word-packed membership masks (1 bit/vertex instead of 1 byte) —
     // the per-round scans below stream these, and the word buffers come
@@ -218,10 +222,9 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
                 cluster.round(|r| r.receive(0, words))?;
 
                 // Machine 0 runs the sequential greedy over the batch in
-                // rank order (earlier ranks were already decided globally).
-                let mut order = batch.clone();
-                order.sort_unstable_by_key(|&v| ranks[v as usize]);
-                for &v in &order {
+                // rank order, the order it was built in (earlier ranks
+                // were already decided globally).
+                for &v in &batch {
                     if !alive.get(v as usize) {
                         continue;
                     }
@@ -233,9 +236,9 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
 
                 // One broadcast round: announce new MIS vertices; remove
                 // them and their neighbors everywhere.
-                let announced = order.iter().filter(|&&v| in_mis.get(v as usize)).count();
+                let announced = batch.iter().filter(|&&v| in_mis.get(v as usize)).count();
                 cluster.round(|r| r.broadcast(announced.min(budget)))?;
-                for &v in &order {
+                for &v in &batch {
                     if in_mis.get(v as usize) {
                         alive.clear(v as usize);
                         for &u in g.neighbors(v) {
@@ -284,51 +287,48 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
         max_rounds: (2.0 * (tau.max(2) as f64).log2().ceil()) as usize + 4,
         target_edges: budget / 4,
     };
-    // The sparsified subroutine keeps its historical `&[bool]` interface
-    // (shared with the clique path); materialize the mask once.
-    let alive_bools: Vec<bool> = (0..n).map(|v| alive.get(v)).collect();
-    let local = ghaffari_local_mis(g, &alive_bools, &local_cfg);
-    for v in 0..n {
-        if local.in_mis[v] {
-            in_mis.set(v);
-        }
-        if local.decided[v] {
-            alive.clear(v);
-        }
-    }
+    let local = ghaffari_local_mis(g, &mut in_mis, &mut alive, &local_cfg, &exec);
     // Each local round is O(1) MPC rounds with small per-machine load.
     cluster.charge_rounds(local.rounds, (n / machines).max(1).min(budget))?;
 
     // Final gather: remaining graph on one machine, finish greedily.
-    let remaining: Vec<VertexId> = (0..n as u32).filter(|&v| alive.get(v as usize)).collect();
-    if !remaining.is_empty() {
-        let words = remaining.len()
+    let mut span = telemetry.span("mis.gather");
+    let remaining = alive.count_ones();
+    let words = if remaining == 0 {
+        0
+    } else {
+        remaining
             + 2 * exec
-                .run_chunked(remaining.len(), PAR_CHUNK, |range| {
-                    remaining[range]
-                        .iter()
-                        .map(|&v| {
-                            g.neighbors(v)
+                .run_chunked(n, PAR_CHUNK, |range| {
+                    range
+                        .filter(|&v| alive.get(v))
+                        .map(|v| {
+                            g.forward_neighbors(v as u32)
                                 .iter()
-                                .filter(|&&u| alive.get(u as usize) && u > v)
+                                .filter(|&&u| alive.get(u as usize))
                                 .count()
                         })
                         .sum::<usize>()
                 })
                 .into_iter()
-                .sum::<usize>();
+                .sum::<usize>()
+    };
+    span.arg("remaining", remaining as u64);
+    span.arg("words", words as u64);
+    if remaining > 0 {
         cluster.round(|r| r.receive(0, words))?;
-        let mut order = remaining.clone();
-        order.sort_unstable_by_key(|&v| ranks[v as usize]);
-        for &v in &order {
+        // Walking π and skipping decided vertices visits the residue in
+        // rank order.
+        for &v in perm.iter().filter(|&&v| alive.get(v as usize)) {
             let blocked = g.neighbors(v).iter().any(|&u| in_mis.get(u as usize));
             if !blocked {
                 in_mis.set(v as usize);
             }
         }
     }
+    drop(span);
 
-    let members: Vec<VertexId> = (0..n as u32).filter(|&v| in_mis.get(v as usize)).collect();
+    let members: Vec<VertexId> = in_mis.iter_ones().map(|v| v as VertexId).collect();
     alive.recycle(&pool);
     in_mis.recycle(&pool);
     let mis =
@@ -348,6 +348,7 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
 mod tests {
     use super::*;
     use mmvc_graph::generators;
+    use mmvc_graph::rng::invert_permutation;
 
     #[test]
     fn mis_valid_on_many_graphs() {

@@ -49,8 +49,8 @@ use crate::vertex_cover::{approx_min_vertex_cover, VertexCoverConfig, VertexCove
 use mmvc_graph::mis::IndependentSet;
 use mmvc_graph::scenarios;
 use mmvc_graph::weighted::WeightedGraph;
-use mmvc_graph::Graph;
-use mmvc_substrate::{ExecutionTrace, ExecutorConfig, Substrate};
+use mmvc_graph::{Graph, VertexId};
+use mmvc_substrate::{Bitset, ExecutionTrace, ExecutorConfig, Substrate};
 
 /// Seed salt separating the weight stream of [`weighted_instance`] from
 /// the algorithm's own randomness.
@@ -1019,30 +1019,24 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
             // graphs; as a standalone run we drive it on the whole graph
             // and finish the residue greedily (the "gather onto one
             // machine" step, one extra round).
-            let active = vec![true; n];
             let log2n = (n.max(2) as f64).log2();
             let cfg = LocalMisConfig {
                 seed: spec.seed,
                 max_rounds: (4.0 * log2n).ceil() as usize,
                 target_edges: n.max(8),
             };
-            let out = ghaffari_local_mis(g, &active, &cfg);
-            let mut in_mis = out.in_mis.clone();
-            let mut blocked: Vec<bool> = out
-                .decided
-                .iter()
-                .zip(&in_mis)
-                .map(|(&d, &m)| d && !m)
-                .collect();
-            for v in 0..n as u32 {
-                if !in_mis[v as usize] && !blocked[v as usize] {
-                    in_mis[v as usize] = true;
-                    for &u in g.neighbors(v) {
-                        blocked[u as usize] = true;
+            let mut in_mis = Bitset::new(n);
+            let mut undecided = Bitset::filled(n);
+            let out = ghaffari_local_mis(g, &mut in_mis, &mut undecided, &cfg, &spec.executor);
+            for v in 0..n {
+                if undecided.get(v) {
+                    in_mis.set(v);
+                    for &u in g.neighbors(v as VertexId) {
+                        undecided.clear(u as usize);
                     }
                 }
             }
-            let members = (0..n as u32).filter(|&v| in_mis[v as usize]);
+            let members = in_mis.iter_ones().map(|v| v as VertexId);
             let (size, valid, mis) = match IndependentSet::new(g, members) {
                 Some(s) => {
                     let v = s.is_maximal(g);

@@ -67,7 +67,7 @@ use crate::run::{
 use mmvc_graph::matching::Matching;
 use mmvc_graph::mis::IndependentSet;
 use mmvc_graph::{Graph, GraphDelta, VertexId};
-use mmvc_substrate::ExecutionTrace;
+use mmvc_substrate::{Bitset, ExecutionTrace};
 
 /// Witness state surviving from the previous run, the seed of the next
 /// incremental one.
@@ -291,25 +291,28 @@ impl Session {
     fn rerun_mis(&mut self) -> Result<RunReport, CoreError> {
         let start = std::time::Instant::now();
         let g = &self.graph;
-        let n = g.num_vertices();
-        let members = match &self.warm {
-            Some(Warm::Mis(m)) => m.clone(),
+        let members = match self.warm.take() {
+            Some(Warm::Mis(m)) => m,
             _ => unreachable!("caller matched Warm::Mis"),
         };
-        let mut mask = vec![false; n];
+        let pool = self
+            .spec
+            .executor
+            .scratch()
+            .expect("Session::new installs a scratch arena");
+        let mut mask = Bitset::new_in(pool, g.num_vertices());
         for &v in &members {
-            mask[v as usize] = true;
+            mask.set(v as usize);
         }
 
         // Drop phase: an inserted edge inside the set evicts the larger
         // endpoint (deterministic; processed in canonical edge order).
-        let mut churn = self.pending_ins.clone();
-        churn.sort_unstable();
+        self.pending_ins.sort_unstable();
         let mut dropped = Vec::new();
-        for &(u, v) in &churn {
-            if mask[u as usize] && mask[v as usize] {
+        for &(u, v) in &self.pending_ins {
+            if mask.get(u as usize) && mask.get(v as usize) {
                 let loser = u.max(v);
-                mask[loser as usize] = false;
+                mask.clear(loser as usize);
                 dropped.push(loser);
             }
         }
@@ -329,16 +332,17 @@ impl Session {
 
         let mut readded = 0usize;
         for &v in &frontier {
-            if mask[v as usize] {
+            if mask.get(v as usize) {
                 continue;
             }
-            if g.neighbors(v).iter().all(|&w| !mask[w as usize]) {
-                mask[v as usize] = true;
+            if g.neighbors(v).iter().all(|&w| !mask.get(w as usize)) {
+                mask.set(v as usize);
                 readded += 1;
             }
         }
 
-        let survivors: Vec<VertexId> = (0..n as VertexId).filter(|&v| mask[v as usize]).collect();
+        let survivors: Vec<VertexId> = mask.iter_ones().map(|v| v as VertexId).collect();
+        mask.recycle(pool);
         let (size, valid, new_members) = match IndependentSet::new(g, survivors.iter().copied()) {
             Some(set) => (set.len(), set.is_maximal(g), survivors),
             None => (survivors.len(), false, members),

@@ -128,6 +128,19 @@ impl Bitset {
         prev != 0
     }
 
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`. Bits
+    /// at or past [`len`](Self::len) are clear.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Mutable packed words, for word-parallel passes that split them
+    /// into disjoint slabs. Callers must leave bits at or past
+    /// [`len`](Self::len) clear.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

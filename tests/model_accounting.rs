@@ -125,35 +125,49 @@ fn trace_per_round_is_consistent() {
 #[test]
 fn engine_determinism_mis_on_both_substrates() {
     // Byte-identical outcomes AND byte-identical traces for every
-    // executor, on a graph dense enough that the prefix-phase loop (the
-    // parallelised per-machine work) genuinely runs.
-    let g = generators::gnp(1024, 0.2, 7).unwrap();
+    // executor: on a graph dense enough that the prefix-phase loop (the
+    // parallelised per-machine work) genuinely runs, and on a sparse one
+    // (Δ ≤ τ) where the local stage carries the run over four chunks.
+    let dense = generators::gnp(1024, 0.2, 7).unwrap();
+    let sparse = generators::gnp(4096, 8.0 / 4096.0, 7).unwrap();
+    for (g, prefix_loop) in [(dense, true), (sparse, false)] {
+        let mut mpc_baseline = None;
+        let mut clique_baseline = None;
+        for exec in executors() {
+            let mut cfg = GreedyMisConfig::new(7);
+            cfg.executor = exec.clone();
+            let out = greedy_mpc_mis(&g, &cfg).unwrap();
+            if prefix_loop {
+                assert!(out.prefix_phases >= 1, "phase loop must run");
+            } else {
+                assert_eq!(out.prefix_phases, 0, "Δ ≤ τ: no prefix phase");
+                assert!(out.local_rounds >= 1, "the local stage must run");
+            }
+            let key = (
+                out.mis.members().to_vec(),
+                out.prefix_phases,
+                out.local_rounds,
+                out.phase_edge_words.clone(),
+                out.trace.clone(),
+            );
+            match &mpc_baseline {
+                None => mpc_baseline = Some(key),
+                Some(base) => assert_eq!(&key, base, "MPC MIS diverged under {exec:?}"),
+            }
 
-    let mut mpc_baseline = None;
-    let mut clique_baseline = None;
-    for exec in executors() {
-        let mut cfg = GreedyMisConfig::new(7);
-        cfg.executor = exec.clone();
-        let out = greedy_mpc_mis(&g, &cfg).unwrap();
-        assert!(out.prefix_phases >= 1, "phase loop must run");
-        let key = (
-            out.mis.members().to_vec(),
-            out.prefix_phases,
-            out.phase_edge_words.clone(),
-            out.trace.clone(),
-        );
-        match &mpc_baseline {
-            None => mpc_baseline = Some(key),
-            Some(base) => assert_eq!(&key, base, "MPC MIS diverged under {exec:?}"),
-        }
-
-        let mut cfg = CliqueMisConfig::new(7);
-        cfg.executor = exec.clone();
-        let out = clique_mis(&g, &cfg).unwrap();
-        let key = (out.mis.members().to_vec(), out.prefix_phases, out.trace);
-        match &clique_baseline {
-            None => clique_baseline = Some(key),
-            Some(base) => assert_eq!(&key, base, "clique MIS diverged under {exec:?}"),
+            let mut cfg = CliqueMisConfig::new(7);
+            cfg.executor = exec.clone();
+            let out = clique_mis(&g, &cfg).unwrap();
+            let key = (
+                out.mis.members().to_vec(),
+                out.prefix_phases,
+                out.local_rounds,
+                out.trace,
+            );
+            match &clique_baseline {
+                None => clique_baseline = Some(key),
+                Some(base) => assert_eq!(&key, base, "clique MIS diverged under {exec:?}"),
+            }
         }
     }
 }

@@ -118,6 +118,23 @@ fn executor_choice_never_changes_a_report() {
         let b = canonical_json(run(&thr).unwrap());
         assert_eq!(a, b, "{kind} diverged across executors");
     }
+    // At n = 4096 the MIS kinds' local stage spans four chunks; the
+    // default `8n`-word budget keeps greedy-MIS from gathering before it.
+    for kind in [
+        AlgorithmKind::GreedyMis,
+        AlgorithmKind::CliqueMis,
+        AlgorithmKind::LocalMis,
+    ] {
+        let mut seq = small_spec(kind, "gnp-sparse");
+        seq.n = Some(4096);
+        seq.overrides.space_factor = None;
+        seq.executor = ExecutorConfig::sequential();
+        let mut thr = seq.clone();
+        thr.executor = ExecutorConfig::with_threads(2);
+        let a = canonical_json(run(&seq).unwrap());
+        let b = canonical_json(run(&thr).unwrap());
+        assert_eq!(a, b, "{kind} diverged across executors at n = 4096");
+    }
 }
 
 #[test]

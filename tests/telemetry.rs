@@ -213,3 +213,57 @@ fn round_spans_match_reported_rounds() {
         assert_eq!(spans, report.substrate.rounds, "{kind}");
     }
 }
+
+/// The MIS stages that charge no round span of their own — the
+/// permutation draw, the sparsified local stage and the final gather —
+/// each emit exactly one span directly under `algorithm`, at a size
+/// where the local stage spans several chunks, and tracing them moves no
+/// canonical byte.
+#[test]
+fn mis_stage_spans_nest_under_algorithm() {
+    for kind in [AlgorithmKind::GreedyMis, AlgorithmKind::CliqueMis] {
+        let mut spec = small_spec(kind, "gnp-sparse");
+        spec.n = Some(4096);
+        // The default `8n`-word budget, so greedy-MIS gathers only once
+        // the local stage has run.
+        spec.overrides.space_factor = None;
+        let untraced = run(&spec).unwrap();
+        let telemetry = Telemetry::recording();
+        spec.executor = spec.executor.with_telemetry(&telemetry);
+        let traced = run(&spec).unwrap();
+        let local_rounds = traced.metric_f64("local_rounds").expect("emitted") as u64;
+        assert_eq!(
+            canonical_json(traced),
+            canonical_json(untraced),
+            "{kind}: canonical bytes must not depend on telemetry"
+        );
+
+        let events = telemetry.drain();
+        let spans = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.kind == EventKind::Span && e.name == name)
+                .collect::<Vec<_>>()
+        };
+        let algorithm = spans("algorithm");
+        assert_eq!(algorithm.len(), 1, "{kind}");
+        for name in ["mis.permutation", "mis.local", "mis.gather"] {
+            let stage = spans(name);
+            assert_eq!(stage.len(), 1, "{kind}: one {name} span");
+            assert_eq!(stage[0].parent, algorithm[0].id, "{kind}: {name} parent");
+        }
+        let arg = |name: &str, key: &str| {
+            spans(name)[0]
+                .args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("{kind}: {name} lacks arg {key}"))
+        };
+        assert_eq!(arg("mis.local", "rounds"), local_rounds, "{kind}");
+        assert!(local_rounds >= 1, "{kind}: the local stage must run");
+        arg("mis.local", "residual_edges");
+        assert!(arg("mis.gather", "remaining") <= 4096, "{kind}");
+        arg("mis.gather", "words");
+    }
+}
