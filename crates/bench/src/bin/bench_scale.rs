@@ -26,12 +26,13 @@
 //!
 //! `--smoke` shrinks every scenario to `n = 2^17` (`2^18` for the `-16m`
 //! tier, so its rows still exercise the chunked u32-packed paths in CI).
-//! Unlike `bench_report`, *any* failure — construction divergence across
-//! executors, a failed witness, a warm build that allocates like a cold
-//! one — exits nonzero in both modes: a determinism break at scale is a
-//! bug, never a finding to record.
+//! *Any* failure — construction divergence across executors, a failed
+//! witness, a warm build that allocates like a cold one — exits nonzero
+//! in both modes: a determinism break at scale is a bug, never a finding
+//! to record.
 
-use mmvc_bench::{Json, Table};
+use mmvc_bench::Table;
+use mmvc_core::json::Json;
 use mmvc_core::run::{run_on, AlgorithmKind, RunSpec};
 use mmvc_graph::scenarios;
 use mmvc_graph::Graph;

@@ -25,7 +25,8 @@
 //! [`MIN_SPEEDUP`]× faster than the cold run. `--smoke` shrinks the
 //! scale row to `n = 2^17` for CI; every gate still applies.
 
-use mmvc_bench::{Json, Table};
+use mmvc_bench::Table;
+use mmvc_core::json::Json;
 use mmvc_core::run::{AlgorithmKind, MetricValue, RunSpec};
 use mmvc_core::session::Session;
 use mmvc_graph::rng::hash2;

@@ -1,6 +1,5 @@
-//! Shared helpers for the experiment binaries (`src/bin/exp_*.rs`), the
-//! `bench_report` sweep, and the criterion benches of the `mmvc`
-//! workspace.
+//! Shared helpers for the experiment binaries (`src/bin/exp_*.rs`) and
+//! the `bench_scale` and `bench_update` gates of the `mmvc` workspace.
 //!
 //! Each experiment binary regenerates one table of `EXPERIMENTS.md` by
 //! declaring [`mmvc_core::run::RunSpec`]s and rendering the resulting
@@ -9,19 +8,17 @@
 //! `MMVC_JSON_DIR=<dir>` to also capture JSON sidecars. The experiment
 //! index lives in `DESIGN.md` §7.
 //!
-//! The [`json`] module is the hand-rolled (no-serde) document model
-//! behind every machine-readable artifact: `BENCH_run.json`, the
-//! per-experiment sidecars, and `mmvc run --json`.
+//! Sidecars and the `BENCH_*.json` artifacts render through
+//! [`mmvc_core::json`], the hand-rolled (no-serde) document model.
 
-pub mod json;
 pub mod report;
-pub mod tracefmt;
 
-pub use json::Json;
-pub use report::{
-    bench_sweep, execute_sweep, finish_experiment, report_json, substrate_cells, sweep_json,
-    SweepSummary, Table, SUBSTRATE_COLUMNS,
-};
+pub use report::{finish_experiment, substrate_cells, Table, SUBSTRATE_COLUMNS};
+
+// The repository benchmark (`perfbench/`) is the only user of these two
+// re-exports; the workspace imports them from `mmvc_core`.
+pub use mmvc_core::json::Json;
+pub use mmvc_core::tracefmt;
 
 use mmvc_substrate::ExecutorConfig;
 

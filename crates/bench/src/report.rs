@@ -1,17 +1,14 @@
-//! The report layer: tables for the experiment binaries, JSON documents
-//! for machine-readable artifacts, and the algorithm×scenario sweep
-//! behind `bench_report` and `mmvc bench`.
+//! The report layer of the experiment binaries: tables, and their JSON
+//! sidecars.
 //!
-//! Every experiment binary declares its sweep as [`RunSpec`]s, renders
-//! rows through [`Table`] (one formatting code path, including the
-//! substrate columns shared by every table), and — when `MMVC_JSON_DIR`
-//! is set — writes a JSON sidecar of everything it printed via
-//! [`write_experiment_sidecar`].
+//! Every experiment binary declares its sweep as
+//! [`RunSpec`](mmvc_core::run::RunSpec)s, renders rows through [`Table`]
+//! (one formatting code path, including the substrate columns shared by
+//! every table), and — when `MMVC_JSON_DIR` is set — writes a JSON
+//! sidecar of everything it printed via [`write_experiment_sidecar`].
 
-use crate::executor_from_env;
-use crate::json::Json;
-use mmvc_core::run::{run, AlgorithmKind, RunReport, RunSpec, SubstrateReport};
-use mmvc_graph::scenarios;
+use mmvc_core::json::Json;
+use mmvc_core::run::SubstrateReport;
 use std::path::PathBuf;
 
 /// Header labels for the substrate-derived columns every experiment
@@ -107,95 +104,6 @@ impl Table {
     }
 }
 
-/// Serializes a [`RunReport`] (deterministic except `wall_ms`; zero it
-/// first when byte-comparing).
-pub fn report_json(r: &RunReport) -> Json {
-    Json::obj(vec![
-        ("algorithm", Json::Str(r.algorithm.name().to_string())),
-        ("scenario", Json::Str(r.scenario.clone())),
-        (
-            "graph",
-            Json::obj(vec![
-                ("n", Json::Int(r.n as i64)),
-                ("edges", Json::Int(r.num_edges as i64)),
-                ("max_degree", Json::Int(r.max_degree as i64)),
-            ]),
-        ),
-        ("eps", Json::Float(r.eps)),
-        ("seed", Json::Int(r.seed as i64)),
-        (
-            "witnesses",
-            Json::Arr(
-                r.witnesses
-                    .iter()
-                    .map(|w| {
-                        Json::obj(vec![
-                            ("kind", Json::Str(w.kind.to_string())),
-                            ("size", Json::Int(w.size as i64)),
-                            ("valid", Json::Bool(w.valid)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "substrate",
-            Json::obj(vec![
-                ("name", Json::Str(r.substrate.substrate.to_string())),
-                ("rounds", Json::Int(r.substrate.rounds as i64)),
-                ("claimed_rounds", Json::Float(r.substrate.claimed_rounds)),
-                ("round_ratio", Json::Float(r.substrate.round_ratio())),
-                (
-                    "max_load_words",
-                    Json::Int(r.substrate.max_load_words as i64),
-                ),
-                ("total_words", Json::Int(r.substrate.total_words as i64)),
-                ("metered", Json::Bool(r.substrate.metered)),
-            ]),
-        ),
-        (
-            "metrics",
-            Json::Obj(
-                r.metrics
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), metric_json(v)))
-                    .collect(),
-            ),
-        ),
-        (
-            "trace",
-            Json::Arr(
-                r.trace
-                    .per_round()
-                    .iter()
-                    .map(|s| {
-                        Json::Arr(vec![
-                            Json::Int(s.round as i64),
-                            Json::Int(s.max_load_words as i64),
-                            Json::Int(s.total_words as i64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "budget_violations",
-            Json::Arr(r.budget_violations.iter().cloned().map(Json::Str).collect()),
-        ),
-        ("wall_ms", Json::Float(r.wall_ms)),
-    ])
-}
-
-fn metric_json(v: &mmvc_core::run::MetricValue) -> Json {
-    use mmvc_core::run::MetricValue;
-    match v {
-        MetricValue::Int(x) => Json::Int(*x),
-        MetricValue::Float(x) => Json::Float(*x),
-        MetricValue::Flag(x) => Json::Bool(*x),
-        MetricValue::Text(x) => Json::Str(x.clone()),
-    }
-}
-
 /// The sidecar directory, from `MMVC_JSON_DIR` (unset = no sidecars).
 pub fn sidecar_dir() -> Option<PathBuf> {
     std::env::var_os("MMVC_JSON_DIR").map(PathBuf::from)
@@ -243,154 +151,6 @@ pub fn finish_experiment(stem: &str, tables: &[Table]) {
     }
 }
 
-/// One row of the algorithm×scenario sweep.
-#[derive(Debug, Clone)]
-pub struct SweepEntry {
-    /// Algorithm name.
-    pub algorithm: &'static str,
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// The report, or the error string for configurations the substrate
-    /// rejected (a finding, recorded rather than hidden).
-    pub result: Result<RunReport, String>,
-}
-
-/// Sweep size used by `--smoke` (CI) runs.
-const SMOKE_N: usize = 96;
-
-/// The size cap applied to a scenario's default in the full sweep, per
-/// algorithm family, keeping the whole sweep to CI-friendly minutes.
-fn full_n_cap(kind: AlgorithmKind) -> usize {
-    match kind {
-        // Quadratic-ish tails (augmentation passes, per-iteration scans).
-        AlgorithmKind::Central | AlgorithmKind::OnePlusEpsMatching => 2048,
-        _ => 4096,
-    }
-}
-
-/// Runs every [`AlgorithmKind`] against every **base-tier** scenario.
-///
-/// The scale tier (`scale-*`) is deliberately excluded — at its default
-/// sizes it belongs to `bench_scale`, and re-running it capped to base
-/// sizes would only duplicate base rows. Smoke mode shrinks all workloads
-/// to tiny sizes (for CI); the full mode uses scenario defaults capped per
-/// algorithm family. The executor comes from `MMVC_EXECUTOR` (see
-/// [`executor_from_env`]).
-pub fn bench_sweep(smoke: bool) -> Vec<SweepEntry> {
-    let executor = executor_from_env();
-    let mut entries = Vec::new();
-    for kind in AlgorithmKind::ALL {
-        for sc in scenarios::base() {
-            let mut spec = RunSpec::new(kind, sc.name);
-            spec.seed = 0xBE9C;
-            spec.executor = executor.clone();
-            spec.n = Some(if smoke {
-                SMOKE_N
-            } else {
-                sc.default_n.min(full_n_cap(kind))
-            });
-            if smoke {
-                // At n ~ 100 the `8n`-word budget is not meaningfully
-                // "O(n)" and dense stress blocks can brush against it;
-                // smoke checks the pipeline, not the asymptotic budget.
-                spec.overrides.space_factor = Some(32.0);
-            }
-            let result = run(&spec).map_err(|e| e.to_string());
-            entries.push(SweepEntry {
-                algorithm: kind.name(),
-                scenario: sc.name,
-                result,
-            });
-        }
-    }
-    entries
-}
-
-/// Totals of one [`execute_sweep`] invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepSummary {
-    /// Reports produced (one per algorithm × scenario pair).
-    pub reports: usize,
-    /// Runs that errored or failed validation/budget. In smoke mode any
-    /// failure should fail the caller; in the full mode a
-    /// substrate-rejected pairing at scale is a finding to record, not
-    /// an error — both `bench_report` and `mmvc bench` follow that rule.
-    pub failures: usize,
-}
-
-/// Runs the sweep, logs one line per entry to stderr, writes the JSON
-/// document to `out_path`, and returns the totals — the one code path
-/// behind both `bench_report` and `mmvc bench`.
-///
-/// # Errors
-///
-/// Returns a message if the output file cannot be written.
-pub fn execute_sweep(smoke: bool, out_path: &str) -> Result<SweepSummary, String> {
-    let entries = bench_sweep(smoke);
-    let mut failures = 0usize;
-    for e in &entries {
-        match &e.result {
-            Ok(report) => {
-                eprintln!(
-                    "{:<18} {:<16} n={:<6} rounds={:<5} wall={:.1}ms{}",
-                    e.algorithm,
-                    e.scenario,
-                    report.n,
-                    report.substrate.rounds,
-                    report.wall_ms,
-                    if report.ok() {
-                        ""
-                    } else {
-                        "  FAILED VALIDATION"
-                    }
-                );
-                if !report.ok() {
-                    failures += 1;
-                }
-            }
-            Err(msg) => {
-                eprintln!("{:<18} {:<16} ERROR: {msg}", e.algorithm, e.scenario);
-                failures += 1;
-            }
-        }
-    }
-    let mode = if smoke { "smoke" } else { "full" };
-    let doc = sweep_json(&entries, mode);
-    std::fs::write(out_path, doc.render()).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    eprintln!(
-        "wrote {out_path} ({} reports, {failures} failures)",
-        entries.len()
-    );
-    Ok(SweepSummary {
-        reports: entries.len(),
-        failures,
-    })
-}
-
-/// Serializes a sweep into the `BENCH_run.json` document.
-pub fn sweep_json(entries: &[SweepEntry], mode: &str) -> Json {
-    Json::obj(vec![
-        ("schema", Json::Str("mmvc-bench-run/v1".to_string())),
-        ("mode", Json::Str(mode.to_string())),
-        (
-            "reports",
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|e| match &e.result {
-                        Ok(report) => report_json(report),
-                        Err(msg) => Json::obj(vec![
-                            ("algorithm", Json::Str(e.algorithm.to_string())),
-                            ("scenario", Json::Str(e.scenario.to_string())),
-                            ("error", Json::Str(msg.clone())),
-                        ]),
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,53 +195,5 @@ mod tests {
     fn table_rejects_ragged_rows() {
         let mut t = Table::new("x", &["a", "b"]);
         t.push(vec!["1".into()]);
-    }
-
-    #[test]
-    fn report_json_is_deterministic_modulo_wall() {
-        let spec = {
-            let mut s = RunSpec::new(AlgorithmKind::GreedyMis, "gnp-sparse");
-            s.n = Some(96);
-            s.seed = 5;
-            s
-        };
-        let mut a = run(&spec).unwrap();
-        let mut b = run(&spec).unwrap();
-        a.wall_ms = 0.0;
-        b.wall_ms = 0.0;
-        assert_eq!(report_json(&a).render(), report_json(&b).render());
-        let doc = report_json(&a).render();
-        assert!(doc.contains("\"algorithm\": \"greedy-mis\""));
-        assert!(doc.contains("\"witnesses\""));
-        assert!(doc.contains("\"trace\""));
-    }
-
-    #[test]
-    fn sweep_entry_and_json_shape() {
-        // One cheap kind across all scenarios, built without bench_sweep:
-        // that function reads MMVC_EXECUTOR, which executor_env_parsing
-        // mutates concurrently in this test binary (the full sweep itself
-        // is exercised by bench_report and the CI smoke job).
-        let entries: Vec<SweepEntry> = scenarios::all()
-            .iter()
-            .map(|sc| {
-                let mut spec = RunSpec::new(AlgorithmKind::LubyMis, sc.name);
-                spec.n = Some(96);
-                spec.seed = 0xBE9C;
-                SweepEntry {
-                    algorithm: AlgorithmKind::LubyMis.name(),
-                    scenario: sc.name,
-                    result: run(&spec).map_err(|e| e.to_string()),
-                }
-            })
-            .collect();
-        assert_eq!(entries.len(), scenarios::all().len());
-        for e in &entries {
-            let report = e.result.as_ref().expect("smoke run failed");
-            assert!(report.ok(), "{} on {}", e.algorithm, e.scenario);
-        }
-        let doc = sweep_json(&entries, "smoke").render();
-        assert!(doc.contains("\"schema\": \"mmvc-bench-run/v1\""));
-        assert!(doc.contains("\"metered\""));
     }
 }

@@ -1,20 +1,19 @@
 //! A minimal hand-rolled JSON document model, deterministic writer, and
 //! strict reader.
 //!
-//! The vendored dependency shims carry no serde, so the harness writes
-//! its machine-readable artifacts (`BENCH_run.json`, the per-experiment
-//! sidecars, `mmvc run --json`) through this module instead. Rendering
-//! is fully deterministic: objects keep insertion order, floats use
-//! Rust's shortest round-trip formatting, and non-finite floats (which
-//! JSON cannot represent) become `null`.
+//! The vendored dependency shims carry no serde, so the workspace writes
+//! its machine-readable artifacts (the report bodies of `mmvc run --json`
+//! and `mmvc serve`, the experiment sidecars, trace exports) through this
+//! module instead. Rendering is fully deterministic: objects keep
+//! insertion order, floats use Rust's shortest round-trip formatting, and
+//! non-finite floats (which JSON cannot represent) become `null`.
 //!
 //! [`Json::parse`] is the matching reader — a strict recursive-descent
 //! parser over the same document model, used by `mmvc-serve` to decode
-//! `POST /run` bodies and by the load generator to read responses. It
-//! accepts exactly RFC 8259 documents (no trailing commas, no comments),
-//! keeps object keys in document order (so `parse(render(x))` preserves
-//! structure), and bounds nesting depth so adversarial request bodies
-//! cannot overflow the stack.
+//! request bodies. It accepts exactly RFC 8259 documents (no trailing
+//! commas, no comments), keeps object keys in document order (so
+//! `parse(render(x))` preserves structure), and bounds nesting depth so
+//! adversarial request bodies cannot overflow the stack.
 
 /// A JSON value with insertion-ordered objects.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,10 +110,10 @@ impl Json {
     /// # Examples
     ///
     /// ```
-    /// use mmvc_bench::Json;
+    /// use mmvc_core::json::Json;
     /// let doc = Json::parse(r#"{"algorithm": "greedy-mis", "n": 256}"#)?;
     /// assert_eq!(doc.get("n").and_then(Json::as_i64), Some(256));
-    /// # Ok::<(), mmvc_bench::json::JsonParseError>(())
+    /// # Ok::<(), mmvc_core::json::JsonParseError>(())
     /// ```
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
@@ -385,6 +384,12 @@ impl<'a> Parser<'a> {
         self.enter()?;
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
+        // Each key's field index and the offset just past it. Duplicates
+        // are found by one sort when the object closes: O(k log k) for a
+        // body of k keys, and for a request's few keys about as cheap as
+        // comparing each key with the earlier ones. A document that also
+        // has a syntax error later in the same object reports that error.
+        let mut keys: Vec<(usize, usize)> = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -394,9 +399,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(self.err(format!("duplicate object key {key:?}")));
-            }
+            keys.push((fields.len(), self.pos));
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -408,6 +411,7 @@ impl<'a> Parser<'a> {
                 Some(b'}') => {
                     self.pos += 1;
                     self.depth -= 1;
+                    first_repeat(&fields, keys)?;
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
@@ -485,15 +489,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`from_str_radix` would also take a
+    /// sign, so `\u+073` would read as `s`).
     fn hex4(&mut self) -> Result<u32, JsonParseError> {
         let end = self.pos + 4;
         let digits = self
             .bytes
             .get(self.pos..end)
-            .and_then(|s| std::str::from_utf8(s).ok())
             .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let code =
-            u32::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape digits"))?;
+        let mut code = 0;
+        for &d in digits {
+            let digit = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape digits"))?;
+            code = code * 16 + digit;
+        }
         self.pos = end;
         Ok(code)
     }
@@ -547,6 +557,29 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Json::Float)
             .map_err(|_| self.err(format!("unparseable number `{text}`")))
+    }
+}
+
+/// The duplicate-key error for an object's fields, given each key's
+/// field index and the offset just past it: the repeat that comes first
+/// in the document, at the offset the key ends.
+fn first_repeat(
+    fields: &[(String, Json)],
+    mut keys: Vec<(usize, usize)>,
+) -> Result<(), JsonParseError> {
+    let key = |&(i, _): &(usize, usize)| fields[i].0.as_str();
+    keys.sort_unstable_by(|a, b| key(a).cmp(key(b)).then(a.0.cmp(&b.0)));
+    match keys
+        .windows(2)
+        .filter(|w| key(&w[0]) == key(&w[1]))
+        .map(|w| w[1])
+        .min()
+    {
+        Some((i, offset)) => Err(JsonParseError {
+            offset,
+            message: format!("duplicate object key {:?}", fields[i].0),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -676,6 +709,11 @@ mod tests {
             "\u{7f}",
             "1 2",
             "[1] x",
+            // `\u` takes exactly four hex digits, never a sign.
+            r#""\u+073""#,
+            r#""\u-073""#,
+            r#"{"algorithm": "greedy-mi\u+073"}"#,
+            r#""\u12""#,
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
@@ -684,11 +722,37 @@ mod tests {
     #[test]
     fn rejects_duplicate_keys_and_deep_nesting() {
         assert!(Json::parse(r#"{"a":1,"a":2}"#).is_err());
+        // Keys compare decoded: an escaped spelling is the same key.
+        assert!(Json::parse(r#"{"a":1,"\u0061":2}"#).is_err());
+        assert!(Json::parse(r#"{"a":{"a":1},"b":{"a":2}}"#).is_ok());
+        // The repeat that comes first in the document is the one reported.
+        let err = Json::parse(r#"{"b":1,"a":2,"b":3,"a":4}"#).unwrap_err();
+        assert_eq!(err.message, r#"duplicate object key "b""#);
+        assert_eq!(err.offset, 16);
         let deep = format!("{}1{}", "[".repeat(200), "]".repeat(200));
         let err = Json::parse(&deep).unwrap_err();
         assert!(err.message.contains("nesting"), "{err}");
         let ok = format!("{}1{}", "[".repeat(100), "]".repeat(100));
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn many_keys_parse_and_a_late_duplicate_is_rejected() {
+        // A 4 MiB request body holds about 400,000 such keys; checking
+        // each key against every earlier one took minutes at 80,000.
+        let mut doc = String::from("{");
+        for i in 0..200_000 {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("\"k{i}\":{i}"));
+        }
+        let parsed = Json::parse(&format!("{doc}}}")).unwrap();
+        assert_eq!(parsed.as_obj().map(<[_]>::len), Some(200_000));
+        assert_eq!(parsed.get("k199999").and_then(Json::as_i64), Some(199_999));
+        let err = Json::parse(&format!("{doc},\"k0\":0}}")).unwrap_err();
+        assert_eq!(err.message, "duplicate object key \"k0\"");
+        assert_eq!(err.offset, doc.len() + 5, "reported right after the key");
     }
 
     #[test]
@@ -707,5 +771,52 @@ mod tests {
         let err = Json::parse("[1, oops]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Valid documents covering every token kind, escapes included.
+        fn seed_document(i: usize) -> String {
+            let docs = [
+                r#"{"algorithm": "greedy-mis", "scenario": "gnp-sparse", "n": 64, "seed": 7}"#,
+                r#"{"session": 3, "insert": [[0, 1], [2, 3]], "delete": []}"#,
+                r#"[null, true, false, -0.5e-3, 12, "a\"b\\c\u00e9\ud83c\udf89\n"]"#,
+                r#"{"nested": {"deeper": [[[{}]]]}, "big": 9223372036854775808}"#,
+            ];
+            docs[i % docs.len()].to_string()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn parse_returns_on_arbitrary_bytes(
+                bytes in proptest::collection::vec(any::<u8>(), 0..256)
+            ) {
+                let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            }
+
+            #[test]
+            fn parse_returns_on_mutated_documents(
+                doc in 0usize..4,
+                edits in proptest::collection::vec((0u8..3, any::<usize>(), any::<u8>()), 1..6)
+            ) {
+                let mut bytes = seed_document(doc).into_bytes();
+                prop_assert!(Json::parse(&String::from_utf8_lossy(&bytes)).is_ok());
+                for (op, at, byte) in edits {
+                    let i = at % (bytes.len() + 1);
+                    match op {
+                        0 if i < bytes.len() => bytes[i] = byte,
+                        1 if i < bytes.len() => {
+                            bytes.remove(i);
+                        }
+                        _ => bytes.insert(i, byte),
+                    }
+                }
+                let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            }
+        }
     }
 }

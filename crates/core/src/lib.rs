@@ -22,6 +22,11 @@
 //! | §4.4.5 — LMSV filtering fallback | [`filtering::filtering_maximal_matching`] |
 //! | Baselines (§1.2) — Luby's MIS | [`baselines::luby_mis`] |
 //!
+//! Every `(algorithm, scenario)` pair runs through one driver,
+//! [`run::run`]; [`run::report_json`] renders its [`run::RunReport`]
+//! through the [`json`] document model, and [`tracefmt`] exports
+//! recorded telemetry spans as Chrome traces and JSONL.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -51,12 +56,14 @@ pub mod baselines;
 mod epsilon;
 mod error;
 pub mod filtering;
+pub mod json;
 pub mod matching;
 pub mod mis;
 #[cfg(test)]
 mod proptests;
 pub mod run;
 pub mod session;
+pub mod tracefmt;
 pub mod vertex_cover;
 
 pub use epsilon::Epsilon;

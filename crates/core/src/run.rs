@@ -11,9 +11,11 @@
 //! next to the paper's claimed round bound, the full
 //! [`ExecutionTrace`], algorithm-specific metrics, and wall time.
 //!
-//! The CLI (`mmvc run` / `mmvc list` / `mmvc bench`), the 13 experiment
-//! binaries, and the `bench_report` sweep are all thin declarations over
-//! this driver; `mmvc_bench` serializes reports to JSON.
+//! The CLI (`mmvc run` / `mmvc list`), the daemon (`mmvc serve`) and the
+//! 13 experiment binaries are all thin declarations over this driver.
+//! [`report_json`] renders a report as the document `mmvc run --json`
+//! prints; with `wall_ms` zeroed it is the canonical body that
+//! `mmvc run --canonical` prints and `mmvc serve` caches.
 //!
 //! Determinism: a [`RunReport`] (minus [`RunReport::wall_ms`]) is a pure
 //! function of the spec — the same spec yields byte-identical serialized
@@ -35,6 +37,7 @@ use crate::baselines::luby_mis;
 use crate::epsilon::Epsilon;
 use crate::error::CoreError;
 use crate::filtering::{filtering_maximal_matching, FilteringConfig, FilteringOutcome};
+use crate::json::Json;
 use crate::matching::{
     integral_matching, mpc_simulation, one_plus_eps_matching, run_central, AugmentConfig,
     AugmentOutcome, CentralConfig, CentralOutcome, IntegralMatchingConfig, IntegralMatchingOutcome,
@@ -617,6 +620,94 @@ impl RunReport {
             MetricValue::Flag(v) => Some(if *v { 1.0 } else { 0.0 }),
             MetricValue::Text(_) => None,
         }
+    }
+}
+
+/// Serializes a [`RunReport`] (deterministic except `wall_ms`; zero it
+/// first when byte-comparing).
+pub fn report_json(r: &RunReport) -> Json {
+    Json::obj(vec![
+        ("algorithm", Json::Str(r.algorithm.name().to_string())),
+        ("scenario", Json::Str(r.scenario.clone())),
+        (
+            "graph",
+            Json::obj(vec![
+                ("n", Json::Int(r.n as i64)),
+                ("edges", Json::Int(r.num_edges as i64)),
+                ("max_degree", Json::Int(r.max_degree as i64)),
+            ]),
+        ),
+        ("eps", Json::Float(r.eps)),
+        ("seed", Json::Int(r.seed as i64)),
+        (
+            "witnesses",
+            Json::Arr(
+                r.witnesses
+                    .iter()
+                    .map(|w| {
+                        Json::obj(vec![
+                            ("kind", Json::Str(w.kind.to_string())),
+                            ("size", Json::Int(w.size as i64)),
+                            ("valid", Json::Bool(w.valid)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "substrate",
+            Json::obj(vec![
+                ("name", Json::Str(r.substrate.substrate.to_string())),
+                ("rounds", Json::Int(r.substrate.rounds as i64)),
+                ("claimed_rounds", Json::Float(r.substrate.claimed_rounds)),
+                ("round_ratio", Json::Float(r.substrate.round_ratio())),
+                (
+                    "max_load_words",
+                    Json::Int(r.substrate.max_load_words as i64),
+                ),
+                ("total_words", Json::Int(r.substrate.total_words as i64)),
+                ("metered", Json::Bool(r.substrate.metered)),
+            ]),
+        ),
+        (
+            "metrics",
+            Json::Obj(
+                r.metrics
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), metric_json(v)))
+                    .collect(),
+            ),
+        ),
+        (
+            "trace",
+            Json::Arr(
+                r.trace
+                    .per_round()
+                    .iter()
+                    .map(|s| {
+                        Json::Arr(vec![
+                            Json::Int(s.round as i64),
+                            Json::Int(s.max_load_words as i64),
+                            Json::Int(s.total_words as i64),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "budget_violations",
+            Json::Arr(r.budget_violations.iter().cloned().map(Json::Str).collect()),
+        ),
+        ("wall_ms", Json::Float(r.wall_ms)),
+    ])
+}
+
+fn metric_json(v: &MetricValue) -> Json {
+    match v {
+        MetricValue::Int(x) => Json::Int(*x),
+        MetricValue::Float(x) => Json::Float(*x),
+        MetricValue::Flag(x) => Json::Bool(*x),
+        MetricValue::Text(x) => Json::Str(x.clone()),
     }
 }
 
@@ -1504,5 +1595,24 @@ mod tests {
         assert!((log_log2(16) - 2.0).abs() < 1e-12);
         assert!((log_log2(65536) - 4.0).abs() < 1e-12);
         assert!(log_log2(0) > 0.0, "clamped to n=4");
+    }
+
+    #[test]
+    fn report_json_is_deterministic_modulo_wall() {
+        let spec = {
+            let mut s = RunSpec::new(AlgorithmKind::GreedyMis, "gnp-sparse");
+            s.n = Some(96);
+            s.seed = 5;
+            s
+        };
+        let mut a = run(&spec).unwrap();
+        let mut b = run(&spec).unwrap();
+        a.wall_ms = 0.0;
+        b.wall_ms = 0.0;
+        assert_eq!(report_json(&a).render(), report_json(&b).render());
+        let doc = report_json(&a).render();
+        assert!(doc.contains("\"algorithm\": \"greedy-mis\""));
+        assert!(doc.contains("\"witnesses\""));
+        assert!(doc.contains("\"trace\""));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every algorithm in the workspace can be pointed at every scenario by
 //! name: the run driver (`mmvc_core::run`), the CLI (`mmvc run`, `mmvc
-//! list`), the experiment binaries, and the `bench_report` sweep all
-//! resolve workloads through this table. Each entry names one graph
+//! list`), the serving daemon and the experiment binaries all resolve
+//! workloads through this table. Each entry names one graph
 //! family at a scenario-chosen default size; `build_with` overrides the
 //! size for smoke tests and sweeps.
 //!
@@ -14,8 +14,8 @@
 //! # Tiers
 //!
 //! The registry has two tiers. The **base** tier (14 families, `n` up to
-//! 4096 by default) is what the full `bench_report` sweep and the
-//! experiment binaries exercise. The **scale** tier (`scale-*` names,
+//! 4096 by default) is what the smoke matrices and the experiment
+//! binaries exercise. The **scale** tier (`scale-*` names,
 //! default `n` up to 2²¹) drives the million-vertex workloads of
 //! `bench_scale`: the same generator families, parallel construction
 //! through [`Scenario::build_with_exec`], thread-count-invariant output by
@@ -50,8 +50,7 @@ pub struct Scenario {
     /// Default vertex count used when no size override is given.
     pub default_n: usize,
     /// Whether this entry belongs to the million-vertex scale tier
-    /// (excluded from the full `bench_report` sweep; driven by
-    /// `bench_scale` instead).
+    /// (driven by `bench_scale`).
     pub scale: bool,
     build: fn(usize, u64, &ExecutorConfig) -> Result<Graph, GraphError>,
 }
@@ -419,8 +418,7 @@ pub fn all() -> &'static [Scenario] {
     REGISTRY
 }
 
-/// The base tier: every non-`scale-` scenario. This is what the full
-/// `bench_report` sweep iterates.
+/// The base tier: every non-`scale-` scenario.
 pub fn base() -> impl Iterator<Item = &'static Scenario> {
     REGISTRY.iter().filter(|s| !s.scale)
 }

@@ -1,5 +1,5 @@
 //! A tiny blocking HTTP/1.1 client for the daemon's own traffic: the
-//! load generator, the integration tests, and the CI smoke script all
+//! integration tests and the repository benchmark's load generator
 //! speak to `mmvc serve` through this one code path.
 //!
 //! [`Conn`] is the persistent form — one TCP connection carrying many

@@ -120,8 +120,8 @@ pub mod store;
 
 use cache::ReportCache;
 use metrics::Metrics;
-use mmvc_bench::{report_json, Json};
-use mmvc_core::run::{run_on, AlgorithmKind, RunReport, RunSpec, SpecValue};
+use mmvc_core::json::Json;
+use mmvc_core::run::{report_json, run_on, AlgorithmKind, RunReport, RunSpec, SpecValue};
 use mmvc_core::session::Session;
 use mmvc_core::CoreError;
 use mmvc_graph::{scenarios, GraphDelta};
@@ -668,7 +668,7 @@ impl TraceWriter {
 
     fn rotate(&mut self, now: Instant) {
         let path = self.dir.join(format!("trace-{:05}.json", self.next_file));
-        let doc = mmvc_bench::tracefmt::chrome_trace(&self.buf);
+        let doc = mmvc_core::tracefmt::chrome_trace(&self.buf);
         // A failed write costs this epoch's trace, never availability.
         let _ = std::fs::write(&path, doc.render());
         self.buf.clear();

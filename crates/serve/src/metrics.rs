@@ -18,8 +18,8 @@ pub const LATENCY_BUCKETS: usize = 28;
 /// percentile estimate is the *upper bound* of the bucket holding that
 /// rank (a conservative over-estimate, never an under-estimate), which
 /// at log2 grain means within 2× of the true value. Exact percentiles
-/// over raw samples remain available to offline consumers (loadgen)
-/// via [`percentiles`].
+/// over raw samples remain available to offline consumers via
+/// [`percentiles`].
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -222,8 +222,8 @@ impl Metrics {
 }
 
 /// `(p50, p90, p99, p999)` of a sample by the nearest-rank method —
-/// exact, for consumers that hold raw samples (loadgen), unlike the
-/// bucketed estimates the daemon serves.
+/// exact, for consumers that hold raw samples, unlike the bucketed
+/// estimates the daemon serves.
 pub fn percentiles(mut samples: Vec<f64>) -> (f64, f64, f64, f64) {
     if samples.is_empty() {
         return (0.0, 0.0, 0.0, 0.0);

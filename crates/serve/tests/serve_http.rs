@@ -3,7 +3,7 @@
 //! driver, cache-hit soundness, worker-count invariance under concurrent
 //! clients, and content-addressed file workloads.
 
-use mmvc_bench::Json;
+use mmvc_core::json::Json;
 use mmvc_core::run::AlgorithmKind;
 use mmvc_graph::scenarios;
 use mmvc_serve::{canonical_report_body, client, parse_run_body, ServeConfig, Server};

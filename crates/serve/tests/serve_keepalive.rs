@@ -5,7 +5,7 @@
 //! quota, `Expect: 100-continue`, and byte-identity of keep-alive
 //! responses against the local driver.
 
-use mmvc_bench::Json;
+use mmvc_core::json::Json;
 use mmvc_serve::{canonical_report_body, client, parse_run_body, ServeConfig, Server};
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
@@ -280,5 +280,20 @@ fn keepalive_responses_are_byte_identical_and_reuse_is_counted() {
     assert!(bytes > 0, "bytes_served counts written responses");
     let latency = metrics.get("latency_ms").unwrap();
     assert!(latency.get("p999").is_some(), "p999 is published");
+    // The latency histogram accounts for every request served, in
+    // cumulative buckets whose bounds ascend.
+    assert_eq!(metrics.get("requests").and_then(Json::as_i64), Some(8));
+    assert_eq!(latency.get("count").and_then(Json::as_i64), Some(8));
+    let buckets = latency.get("buckets").and_then(Json::as_arr).unwrap();
+    let field = |b: &Json, k: &str| b.get(k).and_then(Json::as_f64).unwrap();
+    assert!(buckets
+        .windows(2)
+        .all(|w| field(&w[0], "le") < field(&w[1], "le")
+            && field(&w[0], "count") <= field(&w[1], "count")));
+    let overflow = latency.get("overflow").and_then(Json::as_i64).unwrap();
+    assert_eq!(
+        buckets.last().map_or(0.0, |b| field(b, "count")) as i64 + overflow,
+        8
+    );
     stop();
 }

@@ -4,7 +4,7 @@
 //! served as `x-cache: store`, even across a restart over the same
 //! store directory.
 
-use mmvc_bench::Json;
+use mmvc_core::json::Json;
 use mmvc_serve::{client, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 

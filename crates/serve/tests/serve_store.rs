@@ -6,7 +6,7 @@
 //! by the unit tests in `store.rs`; these tests pin the end-to-end
 //! behavior over real sockets.
 
-use mmvc_bench::Json;
+use mmvc_core::json::Json;
 use mmvc_serve::{canonical_report_body, client, parse_run_body, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 

@@ -15,7 +15,7 @@
 //! cheap cloneable handle (an `Arc` internally) threaded through the
 //! same configs that already carry [`ExecutorConfig`](crate::ExecutorConfig).
 //! A consumer [`drain`](Telemetry::drain)s the events and renders them
-//! (the `mmvc-bench` crate ships Chrome-trace and JSONL exporters; the
+//! (`mmvc_core::tracefmt` ships Chrome-trace and JSONL exporters; the
 //! serving daemon rotates per-epoch trace files).
 //!
 //! ## The out-of-band contract

@@ -9,7 +9,6 @@
 //! mmvc run <algorithm> <scenario|--graph-file PATH> [--n N] [--seed S] [--eps E]
 //!          [--threads K] [--max-rounds R] [--max-load W] [--max-n N] [--json] [--canonical]
 //!          [--trace-out PATH] [--trace-jsonl PATH]
-//! mmvc bench [--smoke] [--out PATH]            # algorithm×scenario sweep
 //! mmvc serve [--addr A] [--workers W] [--cache-cap K] [--max-n N]   # run-serving daemon
 //!            [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
 //! mmvc stats    <graph.txt>
@@ -42,7 +41,6 @@ const USAGE: &str = "usage:
   mmvc run <algorithm> <scenario|--graph-file PATH> [--n N] [--seed S] [--eps E]
            [--threads K] [--max-rounds R] [--max-load W] [--max-n N] [--json] [--canonical]
            [--trace-out PATH] [--trace-jsonl PATH]
-  mmvc bench [--smoke] [--out PATH]
   mmvc serve [--addr HOST:PORT] [--workers W] [--cache-cap K] [--max-n N]
              [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
   mmvc stats    <graph.txt>
@@ -57,7 +55,6 @@ fn run(args: &[String]) -> Result<(), String> {
     match cmd.as_str() {
         "list" => cmd_list(),
         "run" => cmd_run(args),
-        "bench" => cmd_bench(args),
         "serve" => cmd_serve(args),
         "stats" => cmd_stats(args),
         "mis" => cmd_mis(args),
@@ -166,13 +163,13 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     if telemetry.is_enabled() {
         let events = telemetry.drain();
         if let Some(path) = &trace_out {
-            let doc = mmvc_bench::tracefmt::chrome_trace(&events);
+            let doc = mmvc::core::tracefmt::chrome_trace(&events);
             std::fs::write(path, doc.render())
                 .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
             eprintln!("trace: {} events -> {path}", events.len());
         }
         if let Some(path) = &trace_jsonl {
-            std::fs::write(path, mmvc_bench::tracefmt::jsonl(&events))
+            std::fs::write(path, mmvc::core::tracefmt::jsonl(&events))
                 .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
             eprintln!("trace: {} events -> {path}", events.len());
         }
@@ -186,7 +183,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             String::from_utf8_lossy(&mmvc::serve::canonical_report_body(report.clone()))
         );
     } else if args.iter().any(|a| a == "--json") {
-        print!("{}", mmvc_bench::report_json(&report).render());
+        print!("{}", mmvc::core::run::report_json(&report).render());
     } else {
         println!("algorithm   : {}", report.algorithm.name());
         println!(
@@ -227,42 +224,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         Err("budget violated".to_string())
     } else {
         Err("witness validation failed".to_string())
-    }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    // Same strict validation as `mmvc run`: a mistyped `--smok` silently
-    // running the lenient full sweep would defeat the smoke gate.
-    let mut i = 1;
-    let mut smoke = false;
-    let mut out = "BENCH_run.json".to_string();
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
-            "--out" => match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    out = v.clone();
-                    i += 2;
-                }
-                _ => return Err("--out requires a path value".to_string()),
-            },
-            other => return Err(format!("unknown argument `{other}` for `mmvc bench`")),
-        }
-    }
-    // One code path (and one failure policy) with the bench_report
-    // binary: smoke must be clean; a full-size substrate rejection is a
-    // recorded finding, not an error.
-    let summary = mmvc_bench::execute_sweep(smoke, &out)?;
-    if smoke && summary.failures > 0 {
-        Err(format!(
-            "smoke sweep must be clean, got {} failures",
-            summary.failures
-        ))
-    } else {
-        Ok(())
     }
 }
 

@@ -20,11 +20,15 @@
 //!   Corollary 1.4's weighted matching, plus baselines — and the unified
 //!   run driver (`mmvc_core::run`): every algorithm × every named
 //!   scenario (`mmvc_graph::scenarios`) through one `run(spec)` entry
-//!   point with validated witnesses and machine-readable reports;
+//!   point with validated witnesses and machine-readable reports
+//!   (`mmvc_core::json`, with trace exporters in `mmvc_core::tracefmt`);
 //! * [`serve`] ([`mmvc_serve`]) — the run-serving daemon (`mmvc serve`):
 //!   the driver over HTTP/1.1 with a content-addressed LRU report cache
-//!   (sound because reports are deterministic), plus the `mmvc_loadgen`
-//!   load-generation harness behind `BENCH_serve.json`.
+//!   (sound because reports are deterministic).
+//!
+//! Reports render through `mmvc_core`'s own JSON model
+//! ([`core::run::report_json`]); the experiment binaries live in the
+//! separate `mmvc-bench` crate, which this facade does not depend on.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! claimed-vs-measured results. The `examples/` directory contains

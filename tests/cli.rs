@@ -110,14 +110,14 @@ fn stats_refuses_a_vertex_count_beyond_u32_ids() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The transport subcommands are gone: their names get the same error
-/// as any other unknown command.
+/// Removed subcommands (the transport pair and the sweep) get the same
+/// error as any other unknown command.
 #[test]
-fn removed_transport_subcommands_are_unknown_commands() {
+fn removed_subcommands_are_unknown_commands() {
     // Assembled from two pieces so the removed command's name does not
     // appear as a literal anywhere in the tree.
     let net_run = concat!("net", "-run");
-    for cmd in [net_run, "party"] {
+    for cmd in [net_run, "party", "bench"] {
         assert_rejected(
             &[cmd, "greedy-mis", "gnp-sparse"],
             &format!("unknown command `{cmd}`"),

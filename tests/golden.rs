@@ -1,0 +1,133 @@
+//! Golden digests: the canonical report bytes of a fixed spec matrix,
+//! pinned to `tests/golden/canonical.tsv`.
+//!
+//! Each line of that file is `kind, scenario, n, seed` and the 64-bit
+//! FNV-1a digest of `canonical_report_body` for that spec — the exact
+//! bytes `mmvc serve` caches and `mmvc run --canonical` prints. Every
+//! spec runs under the sequential executor and on three threads, and
+//! both runs must match the checked-in line.
+//!
+//! On a mismatch the test lists the specs that moved and writes the
+//! complete regenerated file under `CARGO_TARGET_TMPDIR`. A deliberate
+//! byte change is blessed by copying that file over the checked-in one
+//! in the same commit, so the diff names every digest that moved.
+
+use mmvc::core::run::{run, AlgorithmKind, RunSpec};
+use mmvc::graph::scenarios;
+use mmvc::serve::{canonical_report_body, fnv1a};
+use mmvc::substrate::ExecutorConfig;
+use std::path::PathBuf;
+
+const HEADER: &str = "\
+# Canonical report digests, checked by tests/golden.rs.
+# kind\tscenario\tn\tseed\tfnv1a(canonical_report_body)
+";
+
+fn spec(kind: AlgorithmKind, scenario: &str, n: usize, space_factor: Option<f64>) -> RunSpec {
+    let mut spec = RunSpec::new(kind, scenario);
+    spec.n = Some(n);
+    spec.seed = 7;
+    spec.overrides.space_factor = space_factor;
+    spec
+}
+
+/// The pinned matrix, in file order.
+fn golden_specs() -> Vec<RunSpec> {
+    let mut specs = Vec::new();
+    // Every kind on every scenario at n = 96, with the space factor of
+    // `tests/run_driver.rs`'s smoke matrix.
+    for kind in AlgorithmKind::ALL {
+        for sc in scenarios::all() {
+            specs.push(spec(kind, sc.name, 96, Some(32.0)));
+        }
+    }
+    // The MIS kinds where the local stage spans several chunks.
+    for kind in [
+        AlgorithmKind::GreedyMis,
+        AlgorithmKind::CliqueMis,
+        AlgorithmKind::LocalMis,
+    ] {
+        specs.push(spec(kind, "gnp-sparse", 4096, None));
+    }
+    // perfbench cold-run's three specs, at reduced n.
+    for (kind, scenario, n) in [
+        (AlgorithmKind::GreedyMis, "scale-gnp-1m", 1 << 14),
+        (AlgorithmKind::OnePlusEpsMatching, "power-law", 2048),
+        (AlgorithmKind::VertexCover, "geometric", 2048),
+    ] {
+        specs.push(spec(kind, scenario, n, None));
+    }
+    specs
+}
+
+fn line(spec: &RunSpec, digest: u64) -> String {
+    format!(
+        "{}\t{}\t{}\t{}\t{digest:016x}\n",
+        spec.algorithm.name(),
+        spec.scenario,
+        spec.n.expect("golden specs fix n"),
+        spec.seed
+    )
+}
+
+/// The file's lines for every spec, run on `executor`.
+fn regenerate(specs: &[RunSpec], executor: ExecutorConfig) -> Vec<String> {
+    specs
+        .iter()
+        .map(|spec| {
+            let mut spec = spec.clone();
+            spec.executor = executor.clone();
+            let report = run(&spec)
+                .unwrap_or_else(|e| panic!("{} on {}: {e}", spec.algorithm, spec.scenario));
+            line(&spec, fnv1a(&canonical_report_body(report)))
+        })
+        .collect()
+}
+
+#[test]
+fn canonical_bytes_match_checked_in_digests() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/canonical.tsv");
+    let checked_in = std::fs::read_to_string(&path).unwrap_or_default();
+    let expected: Vec<&str> = checked_in.lines().filter(|l| !l.starts_with('#')).collect();
+
+    let specs = golden_specs();
+    let (sequential, threaded) = std::thread::scope(|s| {
+        let seq = s.spawn(|| regenerate(&specs, ExecutorConfig::sequential()));
+        let thr = s.spawn(|| regenerate(&specs, ExecutorConfig::with_threads(3)));
+        (seq.join().unwrap(), thr.join().unwrap())
+    });
+
+    let mut moved = Vec::new();
+    for (i, (seq, thr)) in sequential.iter().zip(&threaded).enumerate() {
+        let want = expected.get(i).copied();
+        if want != Some(seq.trim_end()) || want != Some(thr.trim_end()) {
+            moved.push(format!(
+                "  spec {}: checked in {:?}, sequential {:?}, 3 threads {:?}",
+                i + 1,
+                want.unwrap_or("<missing>"),
+                seq.trim_end(),
+                thr.trim_end()
+            ));
+        }
+    }
+    if expected.len() > specs.len() {
+        moved.push(format!(
+            "  {} checked-in lines have no spec",
+            expected.len() - specs.len()
+        ));
+    }
+    if !moved.is_empty() {
+        let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden/canonical.tsv");
+        std::fs::create_dir_all(out.parent().unwrap()).unwrap();
+        std::fs::write(&out, format!("{HEADER}{}", sequential.concat())).unwrap();
+        panic!(
+            "{} golden specs moved:\n{}\n\
+             regenerated file (sequential executor): {}\n\
+             copy it over {} only for a deliberate byte change",
+            moved.len(),
+            moved.join("\n"),
+            out.display(),
+            path.display()
+        );
+    }
+}

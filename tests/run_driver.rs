@@ -2,10 +2,11 @@
 //! determinism (byte-identical JSON), scenario-registry seeding pins,
 //! executor invariance, and the full algorithm × scenario smoke matrix.
 
+use mmvc::core::json::Json;
 use mmvc::core::run::{build_scenario, run, run_on, AlgorithmKind, RunReport, RunSpec};
 use mmvc::graph::scenarios;
+use mmvc::serve::canonical_report_body;
 use mmvc::substrate::ExecutorConfig;
-use mmvc_bench::report_json;
 
 fn small_spec(kind: AlgorithmKind, scenario: &str) -> RunSpec {
     let mut spec = RunSpec::new(kind, scenario);
@@ -18,10 +19,8 @@ fn small_spec(kind: AlgorithmKind, scenario: &str) -> RunSpec {
     spec
 }
 
-fn canonical_json(mut report: RunReport) -> String {
-    // Wall time is the single nondeterministic field by contract.
-    report.wall_ms = 0.0;
-    report_json(&report).render()
+fn canonical_json(report: RunReport) -> String {
+    String::from_utf8(canonical_report_body(report)).expect("reports render as UTF-8")
 }
 
 #[test]
@@ -100,6 +99,8 @@ fn every_algorithm_runs_every_small_scenario() {
             let report = run(&spec).unwrap_or_else(|e| panic!("{kind} on {} failed: {e}", sc.name));
             assert!(report.ok(), "{kind} on {} did not validate", sc.name);
             assert!(!report.witnesses.is_empty(), "{kind} emitted no witness");
+            Json::parse(&canonical_json(report))
+                .unwrap_or_else(|e| panic!("{kind} on {}: malformed report: {e}", sc.name));
         }
     }
 }

@@ -5,11 +5,12 @@
 //! the Chrome-trace exporter must emit well-formed, properly nested
 //! span documents.
 
+use mmvc::core::json::Json;
 use mmvc::core::run::{run, AlgorithmKind, RunReport, RunSpec};
+use mmvc::core::tracefmt;
 use mmvc::graph::scenarios;
-use mmvc::serve::cache_key;
+use mmvc::serve::{cache_key, canonical_report_body};
 use mmvc::substrate::{EventKind, ExecutorConfig, Telemetry};
-use mmvc_bench::{report_json, tracefmt, Json};
 
 fn small_spec(kind: AlgorithmKind, scenario: &str) -> RunSpec {
     let mut spec = RunSpec::new(kind, scenario);
@@ -21,9 +22,8 @@ fn small_spec(kind: AlgorithmKind, scenario: &str) -> RunSpec {
     spec
 }
 
-fn canonical_json(mut report: RunReport) -> String {
-    report.wall_ms = 0.0;
-    report_json(&report).render()
+fn canonical_json(report: RunReport) -> String {
+    String::from_utf8(canonical_report_body(report)).expect("reports render as UTF-8")
 }
 
 /// The tentpole pin: for every algorithm kind × a scenario cross
