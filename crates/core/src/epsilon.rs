@@ -9,7 +9,8 @@ use crate::error::CoreError;
 /// `ε ≤ 1/10` and the `MPC-Simulation` analysis assumes `ε < 1/50` (with
 /// the remark that larger inputs may simply be reduced). We validate the
 /// Lemma 4.1 domain here; callers wanting the stricter analysis regime can
-/// pass a smaller value.
+/// pass a smaller value, down to the point (about `5.6·10⁻¹⁷`) where the
+/// growth factor `1/(1−ε)` rounds to `1.0` and weights would never grow.
 ///
 /// # Examples
 ///
@@ -27,7 +28,7 @@ impl Epsilon {
     /// Largest admissible value (`1/10`, from Lemma 4.1).
     pub const MAX: f64 = 0.1;
 
-    /// Validates `ε ∈ (0, 1/10]`.
+    /// Validates `ε ∈ (0, 1/10]` with a growth factor above `1.0`.
     ///
     /// # Errors
     ///
@@ -43,6 +44,12 @@ impl Epsilon {
             return Err(CoreError::InvalidEpsilon {
                 value,
                 message: "must be positive",
+            });
+        }
+        if 1.0 / (1.0 - value) <= 1.0 {
+            return Err(CoreError::InvalidEpsilon {
+                value,
+                message: "too small: the growth factor 1/(1-eps) rounds to 1",
             });
         }
         if value > Self::MAX {
@@ -100,6 +107,13 @@ mod tests {
         assert!(Epsilon::new(-0.1).is_err());
         assert!(Epsilon::new(f64::NAN).is_err());
         assert!(Epsilon::new(f64::INFINITY).is_err());
+        // The growth factor rounds to 1.0 below about 5.6e-17.
+        assert!(matches!(
+            Epsilon::new(1e-17),
+            Err(CoreError::InvalidEpsilon { .. })
+        ));
+        assert!(Epsilon::new(5e-17).is_err());
+        assert!(Epsilon::new(6e-17).unwrap().growth_factor() > 1.0);
     }
 
     #[test]

@@ -23,9 +23,10 @@ use crate::error::CoreError;
 use crate::matching::integral::{integral_matching, IntegralMatchingConfig};
 use mmvc_graph::matching::Matching;
 use mmvc_graph::{Graph, VertexId};
+use mmvc_substrate::ExecutorConfig;
 
 /// Configuration for [`one_plus_eps_matching`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AugmentConfig {
     /// Target approximation parameter.
     pub eps: Epsilon,
@@ -34,15 +35,19 @@ pub struct AugmentConfig {
     /// Upper bound on augmentation passes (defaults to a generous
     /// `8·(1/ε)` when `None`; the process usually converges much sooner).
     pub max_passes: Option<usize>,
+    /// How the initial stage's scans execute (results are identical for
+    /// any executor; see [`ExecutorConfig`]).
+    pub executor: ExecutorConfig,
 }
 
 impl AugmentConfig {
-    /// Default configuration.
+    /// Default configuration (threaded executor).
     pub fn new(eps: Epsilon, seed: u64) -> Self {
         AugmentConfig {
             eps,
             seed,
             max_passes: None,
+            executor: ExecutorConfig::default(),
         }
     }
 }
@@ -88,7 +93,9 @@ pub fn one_plus_eps_matching(
     g: &Graph,
     config: &AugmentConfig,
 ) -> Result<AugmentOutcome, CoreError> {
-    let initial = integral_matching(g, &IntegralMatchingConfig::new(config.eps, config.seed))?;
+    let mut initial_cfg = IntegralMatchingConfig::new(config.eps, config.seed);
+    initial_cfg.sim.executor = config.executor.clone();
+    let initial = integral_matching(g, &initial_cfg)?;
     let mut matching = initial.matching;
 
     // No augmenting path of length < 2k+1 where k = ceil(1/ε) implies a

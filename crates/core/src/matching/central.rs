@@ -155,7 +155,7 @@ pub fn run_central(g: &Graph, config: &CentralConfig) -> CentralOutcome {
     let mut active_edges = m;
     // Safety cap: weights reach 1 within this many iterations, after which
     // every edge must freeze; the +2 covers boundary iterations.
-    let cap = eps.iterations_to_grow(w0, 1.0) + 2;
+    let cap = eps.iterations_to_grow(w0, 1.0).saturating_add(2);
 
     let mut t: u32 = 0;
     let mut iterations = 0usize;

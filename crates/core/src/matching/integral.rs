@@ -187,7 +187,9 @@ pub fn integral_matching(
     // dedicates §4.4.5 to). Absorbing it makes the result maximal, so the
     // classical factor-2 bound holds unconditionally on top of the
     // extraction guarantee.
-    let fallback = filtering_maximal_matching(&current, &FilteringConfig::new(seed ^ 0xFA11))?;
+    let mut fallback_cfg = FilteringConfig::new(seed ^ 0xFA11);
+    fallback_cfg.executor = config.sim.executor.clone();
+    let fallback = filtering_maximal_matching(&current, &fallback_cfg)?;
     total_rounds += fallback.trace.rounds();
     let absorbed = matching.absorb(&fallback.matching);
     let used_fallback = absorbed > 0;

@@ -43,6 +43,31 @@
 //! Experiment E8 measures the estimate drift and bad-vertex fraction under
 //! this schedule — the quantities the paper's constants are engineered to
 //! bound.
+//!
+//! ### The direct tail, pull-style
+//!
+//! Step (4) charges a round only to an iteration in which some vertex can
+//! freeze, i.e. some active load reaches `1 − 4ε`. The other iterations
+//! are no-ops, and they are skipped in computation as well as in rounds.
+//! Each tail pass runs on the run's executor over fixed [`PAR_CHUNK`]
+//! chunks of the sorted list of active vertices: every active vertex pulls
+//! its load from its own sorted CSR row, and the same pass counts the
+//! active edges (each at its lower endpoint) and collects the freeze set
+//! in chunk order. The post-phase loads come from the same per-vertex sum.
+//! Both are bit-identical to pushing over the lexicographic edge list:
+//!
+//! * that list reaches a vertex's terms in ascending-neighbour order —
+//!   the order of its sorted row — and the pull adds the same `f64` terms
+//!   in that order, from `0.0`;
+//! * the weights come from a table whose entries are the same
+//!   `w₀·growth.powi(k)` expression.
+//!
+//! While nothing freezes only `t` moves: a frozen neighbour's term is
+//! fixed and an active one's is `w(t)`, which never decreases as `t`
+//! grows. Rounded `f64` addition is monotone, so "some active load reaches
+//! `1 − 4ε`" can only turn from false to true. A gallop (`t+1, t+3, t+7,
+//! …`) and a bisection over the same pass therefore find the next
+//! iteration that can freeze exactly, in logarithmically many passes.
 
 use crate::epsilon::Epsilon;
 use crate::error::CoreError;
@@ -232,6 +257,8 @@ struct SimState<'g> {
     thresholds: ThresholdRule,
     w0: f64,
     growth: f64,
+    /// `w₀·growth^k` for the first iterations `k` (see [`Self::weight`]).
+    weights: Vec<f64>,
     /// Freeze iteration per vertex (`NEVER_FROZEN` = active).
     freeze: Vec<u32>,
     /// Removed (weight exceeded 1) per vertex.
@@ -252,6 +279,16 @@ impl SimState<'_> {
         self.w0 * self.growth.powi(self.t as i32)
     }
 
+    /// Weight `w₀·growth^k` of an edge that froze at iteration `k`, or of
+    /// an active edge at iteration `k`: a table entry while the table
+    /// lasts, the same expression computed directly after it.
+    fn weight(&self, k: u32) -> f64 {
+        match self.weights.get(k as usize) {
+            Some(&w) => w,
+            None => self.w0 * self.growth.powi(k as i32),
+        }
+    }
+
     /// Weight of an edge at the current iteration, `0` if an endpoint was
     /// removed (endpoint form — every scan iterates the edge view, so no
     /// per-index decode is ever needed).
@@ -260,21 +297,119 @@ impl SimState<'_> {
         if self.removed[u] || self.removed[v] {
             return 0.0;
         }
-        let frozen_at = self.freeze[u].min(self.freeze[v]).min(self.t);
-        self.w0 * self.growth.powi(frozen_at as i32)
+        self.weight(self.freeze[u].min(self.freeze[v]).min(self.t))
     }
 
-    /// Exact vertex loads `yᴹᴾᶜ` over `G[V']` at the current iteration.
-    fn vertex_weights(&self) -> Vec<f64> {
-        let mut y = vec![0.0f64; self.g.num_vertices()];
-        for e in self.g.edges() {
-            let w = self.edge_weight_of(e);
+    /// Vertex `v`'s load at iteration `t` (`0` once removed), pulled from
+    /// its sorted row, and how many of its active neighbours lie above it
+    /// (summed over the active vertices, that counts every active edge
+    /// once).
+    fn load_at(&self, v: usize, t: u32) -> (f64, usize) {
+        let (mut y, mut active_above) = (0.0f64, 0usize);
+        if self.removed[v] {
+            return (y, active_above);
+        }
+        let t = self.freeze[v].min(t);
+        for &u in self.g.neighbors(v as u32) {
+            let ui = u as usize;
+            if self.removed[ui] {
+                continue;
+            }
+            let frozen_at = self.freeze[ui];
+            if frozen_at == NEVER_FROZEN && ui > v {
+                active_above += 1;
+            }
+            let w = self.weight(frozen_at.min(t));
             if w > 0.0 {
-                y[e.u() as usize] += w;
-                y[e.v() as usize] += w;
+                y += w;
             }
         }
-        y
+        (y, active_above)
+    }
+
+    /// Exact vertex loads `yᴹᴾᶜ` over `G[V']` at the current iteration:
+    /// one pull per vertex over fixed chunks.
+    fn vertex_weights(&self) -> Vec<f64> {
+        self.exec
+            .run_chunked(self.g.num_vertices(), PAR_CHUNK, |range| {
+                range.map(|v| self.load_at(v, self.t).0).collect::<Vec<_>>()
+            })
+            .concat()
+    }
+
+    /// One fused tail pass at iteration `t` over the sorted `active`
+    /// vertices: the active-edge count, whether some load reaches the
+    /// minimum threshold, and the freeze set in chunk order. A vertex's
+    /// threshold is hashed only when its load reaches the minimum, which
+    /// every threshold is at least (rounding is monotone).
+    fn tail_pass(&self, active: &[VertexId], t: u32) -> TailPass {
+        let min_threshold = self.thresholds.min_threshold(self.eps);
+        self.exec
+            .run_chunked(active.len(), PAR_CHUNK, |range| {
+                let mut pass = TailPass::default();
+                for &v in &active[range] {
+                    let (y, active_above) = self.load_at(v as usize, t);
+                    pass.active_edges += active_above;
+                    if y >= min_threshold {
+                        pass.can_freeze = true;
+                        if y >= self.thresholds.threshold(self.eps, v, t) {
+                            pass.freezes.push(v);
+                        }
+                    }
+                }
+                pass
+            })
+            .into_iter()
+            .fold(TailPass::default(), |mut all, chunk| {
+                all.active_edges += chunk.active_edges;
+                all.can_freeze |= chunk.can_freeze;
+                all.freezes.extend(chunk.freezes);
+                all
+            })
+    }
+
+    /// The first iteration after the current one, and below `cap`, at
+    /// which some active load reaches the minimum threshold, with its
+    /// pass; `None` if there is none. The current iteration must be one
+    /// that cannot freeze.
+    ///
+    /// Until such an iteration only `t` moves, so "can freeze" is
+    /// monotone in `t` (see the module docs): probes at `t+1, t+3, t+7,
+    /// …` (each capped at `cap − 1`) bracket the first one, and a
+    /// bisection finds it. Without `fast_forward` it steps one iteration
+    /// at a time.
+    fn next_freeze(
+        &self,
+        active: &[VertexId],
+        cap: u32,
+        fast_forward: bool,
+    ) -> Option<(u32, TailPass)> {
+        let (mut lo, mut step) = (self.t, 1u32);
+        while lo + 1 < cap {
+            let hi = if fast_forward {
+                lo.saturating_add(step).min(cap - 1)
+            } else {
+                lo + 1
+            };
+            let mut first = self.tail_pass(active, hi);
+            if !first.can_freeze {
+                lo = hi;
+                step = step.saturating_mul(2);
+                continue;
+            }
+            let mut hi = hi;
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                let pass = self.tail_pass(active, mid);
+                if pass.can_freeze {
+                    (hi, first) = (mid, pass);
+                } else {
+                    lo = mid;
+                }
+            }
+            return Some((hi, first));
+        }
+        None
     }
 
     /// Maximum degree among active edges (both endpoints active): every
@@ -309,6 +444,86 @@ impl SimState<'_> {
     }
 }
 
+/// What one tail pass finds (see [`SimState::tail_pass`]).
+#[derive(Default)]
+struct TailPass {
+    /// Edges with both endpoints active.
+    active_edges: usize,
+    /// Whether some active load reaches the minimum threshold.
+    can_freeze: bool,
+    /// The active vertices whose load reaches their threshold, ascending.
+    freezes: Vec<VertexId>,
+}
+
+/// Bounds of step (4): its iteration cap and its round metering.
+struct TailLimits {
+    /// The tail stops at this iteration (see [`tail_cap`]).
+    cap: u32,
+    /// Machines that share the active edges.
+    machines: usize,
+    /// Words per machine.
+    words: usize,
+}
+
+impl TailLimits {
+    /// Charges one communicating tail iteration: one MPC round in which
+    /// each machine holds its share of the active edges.
+    fn charge(&self, cluster: &mut Cluster, active_edges: usize) -> Result<(), CoreError> {
+        let share = (2 * active_edges).div_ceil(self.machines).max(1);
+        cluster.charge_rounds(1, share.min(self.words))?;
+        Ok(())
+    }
+}
+
+/// Entries of the weight table. The tail of a run at `ε ≥ 0.01` and
+/// `n ≤ 2^24` stays inside it; later iterations compute the same
+/// expression directly.
+const WEIGHT_TABLE_LEN: usize = 4096;
+
+/// The tail's iteration cap: the iterations for the initial weight `w₀`
+/// to grow to 1 plus two boundary iterations, as `Central`'s cap, in
+/// saturating `u64`.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParameter`] when the cap passes the iterations
+/// whose weights are provably non-decreasing in `f64` and whose exponent
+/// fits an `i32`: a tail clamped below it would stop with edges still
+/// active, and its fast-forward would not be exact past it. Binary
+/// powering rounds `growth^k` to within a factor `e^{±(k−1)u}` (`u` is
+/// half of [`f64::EPSILON`]), so consecutive weights keep their order
+/// while `(2k−1)·u < ln growth`; the bound takes half of that for slack.
+/// It refuses `ε` below about `5·10⁻⁸` at `n = 256` and `8·10⁻⁸` at
+/// `n = 2^20`.
+fn tail_cap(eps: Epsilon, w0: f64, n: usize) -> Result<u32, CoreError> {
+    let cap = (eps.iterations_to_grow(w0, 1.0) as u64).saturating_add(2);
+    let exact = ((eps.growth_factor().ln() / (2.0 * f64::EPSILON)) as u64).min(i32::MAX as u64);
+    if cap > exact {
+        return Err(CoreError::InvalidParameter {
+            name: "eps",
+            message: format!(
+                "{eps} is too small for n = {n}: the direct simulation needs {cap} \
+                 iterations, past the {exact} it can index exactly"
+            ),
+        });
+    }
+    Ok(cap as u32)
+}
+
+/// The two whole-graph scans whose results a run depends on: the exact
+/// loads of the post-phase reconciliation, and step (4). Tests swap in
+/// the push-style originals to check that the outcome is identical.
+struct Scans {
+    vertex_weights: fn(&SimState<'_>) -> Vec<f64>,
+    tail: fn(&mut SimState<'_>, &mut Cluster, &TailLimits) -> Result<usize, CoreError>,
+}
+
+/// The pull scans every run uses.
+const PULL: Scans = Scans {
+    vertex_weights: |state| state.vertex_weights(),
+    tail: run_tail,
+};
+
 /// How a phase decides its length.
 enum PhasePlan {
     /// Exactly this many simulated iterations (paper constants).
@@ -328,10 +543,22 @@ enum PhasePlan {
 /// * [`CoreError::Substrate`] if a machine's memory budget is exceeded
 ///   while gathering an induced subgraph — the simulator verifies the
 ///   paper's `O(n)`-per-machine claim instead of assuming it.
-/// * [`CoreError::InvalidParameter`] for a non-positive `space_factor`.
+/// * [`CoreError::InvalidParameter`] for a non-positive `space_factor` or
+///   `machine_factor`, or an `ε` so small that the direct simulation
+///   would need more iterations than its weights can index exactly
+///   (below about `10⁻⁷`).
 pub fn mpc_simulation(
     g: &Graph,
     config: &MpcMatchingConfig,
+) -> Result<MpcMatchingOutcome, CoreError> {
+    simulate(g, config, &PULL)
+}
+
+/// [`mpc_simulation`] with the given whole-graph scans.
+fn simulate(
+    g: &Graph,
+    config: &MpcMatchingConfig,
+    scans: &Scans,
 ) -> Result<MpcMatchingOutcome, CoreError> {
     if !config.space_factor.is_finite() || config.space_factor <= 0.0 {
         return Err(CoreError::InvalidParameter {
@@ -349,6 +576,12 @@ pub fn mpc_simulation(
     let n = g.num_vertices();
     let eps = config.eps;
     let w0 = (1.0 - 2.0 * eps.get()) / n.max(1) as f64;
+    let growth = eps.growth_factor();
+    let tail_cap = if g.num_edges() == 0 {
+        0
+    } else {
+        tail_cap(eps, w0, n)?
+    };
 
     // Cluster sized for the first (largest) phase: m = ceil(c·sqrt(n)).
     let max_machines = ((config.machine_factor * (n.max(4) as f64).sqrt()).ceil() as usize).max(2);
@@ -365,7 +598,10 @@ pub fn mpc_simulation(
         eps,
         thresholds,
         w0,
-        growth: eps.growth_factor(),
+        growth,
+        weights: (0..WEIGHT_TABLE_LEN.min(tail_cap as usize) as i32)
+            .map(|k| w0 * growth.powi(k))
+            .collect(),
         freeze: vec![NEVER_FROZEN; n],
         removed: vec![false; n],
         t: 0,
@@ -422,7 +658,7 @@ pub fn mpc_simulation(
         phases += 1;
 
         // Post-phase reconciliation (lines (h)–(j)): exact weights.
-        let y = state.vertex_weights();
+        let y = (scans.vertex_weights)(&state);
         #[allow(clippy::needless_range_loop)] // indexes three parallel arrays
         for v in 0..n {
             if state.removed[v] {
@@ -439,70 +675,60 @@ pub fn mpc_simulation(
     }
 
     // Step (4): direct simulation of the remaining Central-Rand
-    // iterations until every edge is frozen. Iterations in which some
-    // vertex could freeze (its load reaches the minimum threshold 1−4ε)
-    // cost one MPC round each; iterations that provably freeze nothing
-    // require no communication at all — every machine can grow its local
-    // weights deterministically — and are charged zero rounds.
-    let mut tail_iterations = 0usize;
-    let tail_cap = eps.iterations_to_grow(w0, 1.0) + 2;
-    let t_min_threshold = state.thresholds.min_threshold(eps);
-    loop {
-        // Every machine counts the active edges of its chunk (integer sum
-        // over fixed chunks — schedule-independent).
-        let active_edges: usize = state
-            .exec
-            .run_chunked(g.num_edges(), PAR_CHUNK, |range| {
-                g.edges()
-                    .range(range)
-                    .filter(|e| {
-                        state.is_active_vertex(e.u() as usize)
-                            && state.is_active_vertex(e.v() as usize)
-                    })
-                    .count()
-            })
-            .into_iter()
-            .sum();
-        if active_edges == 0 || (state.t as usize) >= tail_cap {
-            break;
-        }
-        let y = state.vertex_weights();
-        let could_freeze = state
-            .exec
-            .run_chunked(n, PAR_CHUNK, |range| {
-                range
-                    .clone()
-                    .any(|v| state.is_active_vertex(v) && y[v] >= t_min_threshold)
-            })
-            .into_iter()
-            .any(|b| b);
-        if could_freeze {
-            let to_freeze: Vec<usize> = state
-                .exec
-                .run_chunked(n, PAR_CHUNK, |range| {
-                    range
-                        .filter(|&v| {
-                            state.is_active_vertex(v)
-                                && y[v] >= state.thresholds.threshold(eps, v as u32, state.t)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            for v in to_freeze {
-                state.freeze[v] = state.t;
-            }
-            tail_iterations += 1;
-            // One MPC round per communicating iteration; each machine
-            // holds its share of the active edges.
-            let share = (2 * active_edges).div_ceil(max_machines).max(1);
-            cluster.charge_rounds(1, share.min(words))?;
-        }
-        state.t += 1;
-    }
+    // iterations until every edge is frozen.
+    let limits = TailLimits {
+        cap: tail_cap,
+        machines: max_machines,
+        words,
+    };
+    let tail_iterations = (scans.tail)(&mut state, &mut cluster, &limits)?;
 
     Ok(finish(state, phases, tail_iterations, cluster, diagnostics))
+}
+
+/// Step (4): the remaining `Central-Rand` iterations, simulated directly
+/// until every edge is frozen or `limits.cap` is reached. Returns the
+/// iterations that communicated.
+///
+/// An iteration in which some vertex could freeze (its load reaches the
+/// minimum threshold `1−4ε`) costs one MPC round. One that provably
+/// freezes nothing needs no communication — every machine can grow its
+/// local weights deterministically — so it is charged no round, and it
+/// is skipped without a pass of its own (see the module docs).
+fn run_tail(
+    state: &mut SimState<'_>,
+    cluster: &mut Cluster,
+    limits: &TailLimits,
+) -> Result<usize, CoreError> {
+    let n = state.g.num_vertices();
+    let mut active: Vec<VertexId> = (0..n as u32)
+        .filter(|&v| state.is_active_vertex(v as usize))
+        .collect();
+    // The fast-forward is exact while weights never decrease in `t`: the
+    // table is checked here, and `tail_cap` bounds the iterations past it.
+    let fast_forward = state.weights.windows(2).all(|w| w[0] <= w[1]);
+    let mut tail_iterations = 0usize;
+    let mut pass = state.tail_pass(&active, state.t);
+    while pass.active_edges > 0 && state.t < limits.cap {
+        if !pass.can_freeze {
+            match state.next_freeze(&active, limits.cap, fast_forward) {
+                Some((t, first)) => (state.t, pass) = (t, first),
+                None => {
+                    state.t = limits.cap;
+                    break;
+                }
+            }
+        }
+        for &v in &pass.freezes {
+            state.freeze[v as usize] = state.t;
+        }
+        active.retain(|&v| state.freeze[v as usize] == NEVER_FROZEN);
+        tail_iterations += 1;
+        limits.charge(cluster, pass.active_edges)?;
+        state.t += 1;
+        pass = state.tail_pass(&active, state.t);
+    }
+    Ok(tail_iterations)
 }
 
 /// One phase of the main loop (lines (a)–(e) of the pseudocode). Returns
@@ -877,6 +1103,7 @@ fn finish(
 mod tests {
     use super::*;
     use mmvc_graph::{generators, matching, Graph};
+    use proptest::prelude::*;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -1092,6 +1319,195 @@ mod tests {
             "sublinear budget respected: {}",
             out.trace.max_load_words()
         );
+    }
+
+    #[test]
+    fn tiny_eps_completes_with_a_valid_cover() {
+        // Millions of tail iterations, almost all of them no-ops.
+        let g = generators::gnp(64, 0.1, 5).unwrap();
+        let out = mpc_simulation(&g, &MpcMatchingConfig::new(eps(1e-6), 5)).unwrap();
+        assert!(out.iterations > 1_000_000, "{}", out.iterations);
+        assert!(out.cover.covers(&g));
+        assert!(out.fractional.is_feasible(&g));
+    }
+
+    #[test]
+    fn eps_past_the_exact_iteration_bound_is_refused() {
+        let g = generators::path(4);
+        let err = mpc_simulation(&g, &MpcMatchingConfig::new(eps(1e-9), 1)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidParameter { name: "eps", .. }),
+            "{err}"
+        );
+        // An edgeless graph has no tail to bound.
+        assert!(mpc_simulation(&Graph::empty(4), &MpcMatchingConfig::new(eps(1e-9), 1)).is_ok());
+    }
+
+    /// A simulation state of `g` at iteration `t` with the given freeze
+    /// iterations and removals, and a 64-entry weight table, so that both
+    /// the table and the direct expression serve weights. The oracle's
+    /// weights are the direct expression only.
+    fn sim_state<'g>(
+        g: &'g Graph,
+        config: &MpcMatchingConfig,
+        freeze: Vec<u32>,
+        removed: Vec<bool>,
+        t: u32,
+    ) -> SimState<'g> {
+        let eps = config.eps;
+        let w0 = (1.0 - 2.0 * eps.get()) / g.num_vertices().max(1) as f64;
+        SimState {
+            g,
+            eps,
+            thresholds: ThresholdRule::Fixed,
+            w0,
+            growth: eps.growth_factor(),
+            weights: (0..64).map(|k| w0 * eps.growth_factor().powi(k)).collect(),
+            freeze,
+            removed,
+            t,
+            exec: config.executor.clone(),
+        }
+    }
+
+    /// Edge weight by the push scans: the original inline expression.
+    fn push_edge_weight(state: &SimState<'_>, e: mmvc_graph::Edge) -> f64 {
+        let (u, v) = (e.u() as usize, e.v() as usize);
+        if state.removed[u] || state.removed[v] {
+            return 0.0;
+        }
+        let frozen_at = state.freeze[u].min(state.freeze[v]).min(state.t);
+        state.w0 * state.growth.powi(frozen_at as i32)
+    }
+
+    /// The push-style loads over the lexicographic edge list: the oracle
+    /// of [`SimState::vertex_weights`].
+    fn push_vertex_weights(state: &SimState<'_>) -> Vec<f64> {
+        let mut y = vec![0.0f64; state.g.num_vertices()];
+        for e in state.g.edges() {
+            let w = push_edge_weight(state, e);
+            if w > 0.0 {
+                y[e.u() as usize] += w;
+                y[e.v() as usize] += w;
+            }
+        }
+        y
+    }
+
+    /// The tail that rescans the whole edge list in every iteration, no-op
+    /// or not: the oracle of [`run_tail`].
+    fn push_tail(
+        state: &mut SimState<'_>,
+        cluster: &mut Cluster,
+        limits: &TailLimits,
+    ) -> Result<usize, CoreError> {
+        let (g, eps) = (state.g, state.eps);
+        let n = g.num_vertices();
+        let mut tail_iterations = 0usize;
+        let t_min_threshold = state.thresholds.min_threshold(eps);
+        loop {
+            let active_edges = g
+                .edges()
+                .iter()
+                .filter(|e| {
+                    state.is_active_vertex(e.u() as usize) && state.is_active_vertex(e.v() as usize)
+                })
+                .count();
+            if active_edges == 0 || state.t >= limits.cap {
+                break;
+            }
+            let y = push_vertex_weights(state);
+            if (0..n).any(|v| state.is_active_vertex(v) && y[v] >= t_min_threshold) {
+                let to_freeze: Vec<usize> = (0..n)
+                    .filter(|&v| {
+                        state.is_active_vertex(v)
+                            && y[v] >= state.thresholds.threshold(eps, v as u32, state.t)
+                    })
+                    .collect();
+                for v in to_freeze {
+                    state.freeze[v] = state.t;
+                }
+                tail_iterations += 1;
+                limits.charge(cluster, active_edges)?;
+            }
+            state.t += 1;
+        }
+        Ok(tail_iterations)
+    }
+
+    const PUSH: Scans = Scans {
+        vertex_weights: push_vertex_weights,
+        tail: push_tail,
+    };
+
+    /// A test graph of one of seven families, sized from `n`.
+    fn family_graph(family: usize, n: usize, seed: u64) -> Graph {
+        let nf = n as f64;
+        match family {
+            0 => generators::gnp(n, 6.0 / nf, seed).unwrap(),
+            // Dense enough that the phase loop runs.
+            1 => generators::gnp(n / 10 + 60, 0.5, seed).unwrap(),
+            2 => generators::power_law(n, 2.5, 8.0, seed).unwrap(),
+            3 => {
+                let r = (12.0 / (std::f64::consts::PI * nf)).sqrt();
+                generators::random_geometric(n, r, seed).unwrap()
+            }
+            4 => generators::star(n),
+            5 => generators::complete(n / 40 + 10),
+            _ => generators::disjoint_edges(n / 2),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The pull scans reproduce the push oracle exactly — freeze
+        /// iterations, removals, the bits of every edge weight, iteration
+        /// counts and the metered trace — for every threshold mode,
+        /// schedule and diagnostics setting, under the sequential and a
+        /// 3-thread executor, on inputs whose active lists span chunks.
+        #[test]
+        fn pull_scans_match_the_push_oracle(
+            shape in (0usize..7, 200usize..2600, any::<u64>()),
+            eps_index in 0usize..3,
+            knobs in (any::<bool>(), any::<bool>(), any::<bool>()),
+            seed in any::<u64>()
+        ) {
+            let (family, n, graph_seed) = shape;
+            let (fixed, paper, diagnostics) = knobs;
+            let g = family_graph(family, n, graph_seed);
+            let mut config = MpcMatchingConfig::new(eps([0.02, 0.05, 0.1][eps_index]), seed);
+            config.threshold_mode = if fixed { ThresholdMode::Fixed } else { ThresholdMode::Random };
+            config.schedule = if paper { PhaseSchedule::Paper } else { PhaseSchedule::Practical };
+            config.diagnostics = diagnostics;
+            config.executor = ExecutorConfig::sequential();
+            let want = simulate(&g, &config, &PUSH).unwrap();
+            let want_x: Vec<u64> = want.fractional.edge_weights().iter().map(|x| x.to_bits()).collect();
+            for exec in [ExecutorConfig::sequential(), ExecutorConfig::with_threads(3)] {
+                config.executor = exec;
+                let got = mpc_simulation(&g, &config).unwrap();
+                let got_x: Vec<u64> = got.fractional.edge_weights().iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(&got.freeze_iteration, &want.freeze_iteration);
+                prop_assert_eq!(&got.removed, &want.removed);
+                prop_assert!(got_x == want_x, "edge weights differ");
+                prop_assert_eq!(got.phases, want.phases);
+                prop_assert_eq!(got.iterations, want.iterations);
+                prop_assert_eq!(got.tail_iterations, want.tail_iterations);
+                prop_assert_eq!(&got.trace, &want.trace);
+                prop_assert_eq!(&got.diagnostics, &want.diagnostics);
+                // The loads themselves, not only the decisions they lead
+                // to, over the outcome's freeze pattern at three iterations.
+                for t in [0, want.iterations / 2, want.iterations] {
+                    let (freeze, removed) = (want.freeze_iteration.clone(), want.removed.clone());
+                    let state = sim_state(&g, &config, freeze, removed, t as u32);
+                    let bits = |y: Vec<f64>| y.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    prop_assert!(
+                        bits(state.vertex_weights()) == bits(push_vertex_weights(&state)),
+                        "loads differ at t = {}", t
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,20 +28,28 @@ use mmvc_graph::matching::Matching;
 use mmvc_graph::rng::hash2;
 use mmvc_graph::weighted::WeightedGraph;
 use mmvc_graph::Graph;
+use mmvc_substrate::ExecutorConfig;
 
 /// Configuration for [`weighted_matching`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedMatchingConfig {
     /// Approximation parameter `ε`.
     pub eps: Epsilon,
     /// Seed for the per-class subroutine.
     pub seed: u64,
+    /// How the per-class subroutine's scans execute (results are identical
+    /// for any executor; see [`ExecutorConfig`]).
+    pub executor: ExecutorConfig,
 }
 
 impl WeightedMatchingConfig {
-    /// Default configuration.
+    /// Default configuration (threaded executor).
     pub fn new(eps: Epsilon, seed: u64) -> Self {
-        WeightedMatchingConfig { eps, seed }
+        WeightedMatchingConfig {
+            eps,
+            seed,
+            executor: ExecutorConfig::default(),
+        }
     }
 }
 
@@ -124,10 +132,9 @@ pub fn weighted_matching(
         }
         class_count += 1;
         let class_graph = Graph::from_edges(n, pairs)?;
-        let sub = filtering_maximal_matching(
-            &class_graph,
-            &FilteringConfig::new(hash2(config.seed, rank as u64)),
-        )?;
+        let mut class_cfg = FilteringConfig::new(hash2(config.seed, rank as u64));
+        class_cfg.executor = config.executor.clone();
+        let sub = filtering_maximal_matching(&class_graph, &class_cfg)?;
         total_rounds += sub.trace.rounds();
         matching.absorb(&sub.matching);
     }

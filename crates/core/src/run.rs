@@ -1284,7 +1284,8 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
             ))
         }
         AlgorithmKind::OnePlusEpsMatching => {
-            let cfg = AugmentConfig::new(spec.eps, spec.seed);
+            let mut cfg = AugmentConfig::new(spec.eps, spec.seed);
+            cfg.executor = spec.executor.clone();
             let out = one_plus_eps_matching(g, &cfg)?;
             let witness = WitnessStat {
                 kind: "matching",
@@ -1315,7 +1316,8 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
         }
         AlgorithmKind::WeightedMatching => {
             let wg = weighted_instance(g, spec);
-            let cfg = WeightedMatchingConfig::new(spec.eps, spec.seed);
+            let mut cfg = WeightedMatchingConfig::new(spec.eps, spec.seed);
+            cfg.executor = spec.executor.clone();
             let out = crate::matching::weighted_matching(&wg, &cfg)?;
             let witness = WitnessStat {
                 kind: "matching",

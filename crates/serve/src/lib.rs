@@ -1143,13 +1143,11 @@ fn route_fast(request: &http::Request, state: &AppState, raw_memo: &mut RawMemo)
 /// Returns `None` to dispatch to a worker (file workloads, memory
 /// misses).
 fn fast_run(state: &AppState, body: &[u8], raw_memo: &mut RawMemo) -> Option<Reply> {
-    // Session-scoped runs are keyed by (id, generation), not by body
-    // bytes: they must bypass the raw memo entirely — the same
-    // `{"session": id}` bytes name *different* responses across
-    // generations — and consult only the generation-folded LRU key.
-    if let Some(session) = parse_session_ref(body) {
-        return fast_session_run(state, session);
-    }
+    // The memo goes first, before any parse. Only bodies that parsed as
+    // run specs are ever memoized, and a session reference never does
+    // (it has no `algorithm` field), so the memo cannot answer one: the
+    // same `{"session": id}` bytes name *different* responses across
+    // generations.
     if let Some(memoized) = raw_memo.get(body) {
         state.metrics.bump(&state.metrics.cache_hits);
         return Some(Reply {
@@ -1159,8 +1157,10 @@ fn fast_run(state: &AppState, body: &[u8], raw_memo: &mut RawMemo) -> Option<Rep
             body: Arc::clone(memoized),
         });
     }
-    let mut spec = match parse_run_body(body) {
-        Ok(spec) => spec,
+    // Session-scoped runs consult only the generation-folded LRU key.
+    let mut spec = match parse_run_request(body) {
+        Ok(RunBody::Session(id)) => return fast_session_run(state, id),
+        Ok(RunBody::Spec(spec)) => *spec,
         Err(message) => return Some(Reply::error(400, &message)),
     };
     if spec.graph_file.is_some() {
@@ -1239,13 +1239,9 @@ fn admit(spec: &mut RunSpec, state: &AppState) -> Result<(), Reply> {
     Ok(())
 }
 
-/// The worker-side `POST /run` path: body → spec → memory cache →
-/// persistent store → (on miss) execute → populate both tiers.
-fn handle_run(state: &AppState, body: &[u8]) -> Reply {
-    let mut spec = match parse_run_body(body) {
-        Ok(spec) => spec,
-        Err(message) => return Reply::error(400, &message),
-    };
+/// The worker-side `POST /run` path: spec → memory cache → persistent
+/// store → (on miss) execute → populate both tiers.
+fn handle_run(state: &AppState, mut spec: RunSpec) -> Reply {
     if let Err(refusal) = admit(&mut spec, state) {
         return refusal;
     }
@@ -1369,9 +1365,10 @@ fn handle_worker(state: &AppState, request: &http::Request) -> Reply {
     let path = target.split_once('?').map_or(target, |(path, _)| path);
     let _span = state.telemetry.span_tagged("serve.worker", path);
     match (request.head.method.as_str(), path) {
-        ("POST", "/run") => match parse_session_ref(&request.body) {
-            Some(session) => handle_session_run(state, session),
-            None => handle_run(state, &request.body),
+        ("POST", "/run") => match parse_run_request(&request.body) {
+            Ok(RunBody::Session(id)) => handle_session_run(state, id),
+            Ok(RunBody::Spec(spec)) => handle_run(state, *spec),
+            Err(message) => Reply::error(400, &message),
         },
         ("POST", "/session") => handle_session_create(state, &request.body),
         ("POST", "/update") => handle_session_update(state, &request.body),
@@ -1379,17 +1376,25 @@ fn handle_worker(state: &AppState, request: &http::Request) -> Reply {
     }
 }
 
-/// Recognizes a session-scoped `POST /run` body: a JSON object whose
-/// only key is `session` (a non-negative integer). Anything else —
-/// including malformed JSON — falls through to the ordinary spec path,
-/// whose strict parser owns the error message.
-fn parse_session_ref(body: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let doc = Json::parse(text).ok()?;
-    let fields = doc.as_obj()?;
-    match fields {
-        [(key, Json::Int(id))] if key == "session" && *id >= 0 => Some(*id as u64),
-        _ => None,
+/// A `POST /run` body, parsed once.
+enum RunBody {
+    /// A session-scoped run: a JSON object whose only key is `session`
+    /// (a non-negative integer).
+    Session(u64),
+    /// Anything else is a run spec, validated by [`parse_run_body`]'s
+    /// strict rules.
+    Spec(Box<RunSpec>),
+}
+
+/// Parses a `POST /run` body once and branches on its shape; a body that
+/// is not a session reference gets the spec parser's error message.
+fn parse_run_request(body: &[u8]) -> Result<RunBody, String> {
+    let doc = parse_body_json(body)?;
+    match doc.as_obj() {
+        Some([(key, Json::Int(id))]) if key == "session" && *id >= 0 => {
+            Ok(RunBody::Session(*id as u64))
+        }
+        _ => spec_from_json(&doc).map(|spec| RunBody::Spec(Box::new(spec))),
     }
 }
 
@@ -1540,8 +1545,7 @@ fn handle_session_update(state: &AppState, body: &[u8]) -> Reply {
 /// self-loops and out-of-range vertices are refused (staging rejects the
 /// former, apply rejects the latter).
 fn parse_update_body(body: &[u8]) -> Result<(u64, GraphDelta), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let doc = parse_body_json(body)?;
     let Some(fields) = doc.as_obj() else {
         return Err("request body must be a JSON object".to_string());
     };
@@ -1645,8 +1649,17 @@ fn lock_cache(state: &AppState) -> std::sync::MutexGuard<'_, ReportCache> {
 ///
 /// A human-readable message describing the first problem found.
 pub fn parse_run_body(body: &[u8]) -> Result<RunSpec, String> {
+    spec_from_json(&parse_body_json(body)?)
+}
+
+/// A request body as JSON: UTF-8, then the strict parser.
+fn parse_body_json(body: &[u8]) -> Result<Json, String> {
     let text = std::str::from_utf8(body).map_err(|_| "request body is not UTF-8".to_string())?;
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    Json::parse(text).map_err(|e| e.to_string())
+}
+
+/// The spec half of [`parse_run_body`].
+fn spec_from_json(doc: &Json) -> Result<RunSpec, String> {
     let Some(doc_fields) = doc.as_obj() else {
         return Err("request body must be a JSON object".to_string());
     };
@@ -2212,6 +2225,54 @@ mod tests {
         let mut disabled = RawMemo::new(0);
         disabled.insert(body, &canonical);
         assert!(disabled.map.is_empty());
+    }
+
+    /// Memoized run bodies never shadow a session reference: the memo is
+    /// consulted before any parse, yet `{"session": id}` still reaches the
+    /// session path, before and after an update bumps the generation.
+    #[test]
+    fn session_references_bypass_the_raw_memo_across_generations() {
+        let state = test_state();
+        let created = handle_session_create(
+            &state,
+            br#"{"algorithm": "greedy-mis", "scenario": "gnp-sparse", "n": 64, "seed": 5}"#,
+        );
+        assert_eq!(created.status, 200);
+        let id = Json::parse(std::str::from_utf8(&created.body).unwrap())
+            .unwrap()
+            .get("session")
+            .and_then(Json::as_i64)
+            .unwrap();
+
+        let run_body = br#"{"algorithm": "greedy-mis", "scenario": "gnp-sparse", "n": 64}"#;
+        let mut spec = parse_run_body(run_body).unwrap();
+        admit(&mut spec, &state).unwrap();
+        lock_cache(&state).insert(cache_key(&spec, None), Arc::from(&b"run"[..]));
+        let mut memo = RawMemo::new(4);
+        assert!(fast_run(&state, run_body, &mut memo).is_some());
+        assert_eq!(memo.map.len(), 1);
+
+        let session_body = format!(r#"{{"session": {id}}}"#);
+        let session_key = || {
+            let handle = session_handle(&state, id as u64).unwrap();
+            let session = lock_session(&handle);
+            session_cache_key(session.spec(), id as u64, session.generation())
+        };
+        lock_cache(&state).insert(session_key(), Arc::from(&b"generation 0"[..]));
+        let hit = fast_run(&state, session_body.as_bytes(), &mut memo).expect("session hit");
+        assert_eq!(hit.body.as_ref(), b"generation 0");
+        assert_eq!(memo.map.len(), 1, "session bodies are never memoized");
+
+        let update = format!(r#"{{"session": {id}, "insert": [[0, 1]]}}"#);
+        assert_eq!(handle_session_update(&state, update.as_bytes()).status, 200);
+        assert!(
+            fast_run(&state, session_body.as_bytes(), &mut memo).is_none(),
+            "a new generation misses the old entry and goes to a worker"
+        );
+        lock_cache(&state).insert(session_key(), Arc::from(&b"generation 1"[..]));
+        let hit = fast_run(&state, session_body.as_bytes(), &mut memo).expect("session hit");
+        assert_eq!(hit.body.as_ref(), b"generation 1");
+        assert_eq!(memo.map.len(), 1);
     }
 
     fn test_state() -> AppState {

@@ -17,9 +17,7 @@ pub const LATENCY_BUCKETS: usize = 28;
 /// than the mutex push it replaced. The price is resolution: a
 /// percentile estimate is the *upper bound* of the bucket holding that
 /// rank (a conservative over-estimate, never an under-estimate), which
-/// at log2 grain means within 2× of the true value. Exact percentiles
-/// over raw samples remain available to offline consumers via
-/// [`percentiles`].
+/// at log2 grain means within 2× of the true value.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -221,23 +219,6 @@ impl Metrics {
     }
 }
 
-/// `(p50, p90, p99, p999)` of a sample by the nearest-rank method —
-/// exact, for consumers that hold raw samples, unlike the bucketed
-/// estimates the daemon serves.
-pub fn percentiles(mut samples: Vec<f64>) -> (f64, f64, f64, f64) {
-    if samples.is_empty() {
-        return (0.0, 0.0, 0.0, 0.0);
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let rank = |p: f64| -> f64 {
-        // The epsilon absorbs float residue: 0.999 × 1000 must rank as
-        // 999, not drift to 999.0000000000001 and ceil to 1000.
-        let idx = ((p / 100.0) * samples.len() as f64 - 1e-9).ceil() as usize;
-        samples[idx.clamp(1, samples.len()) - 1]
-    };
-    (rank(50.0), rank(90.0), rank(99.0), rank(99.9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,17 +236,6 @@ mod tests {
         assert_eq!(m.read(&m.cache_misses), 0);
         assert_eq!(m.read(&m.store_hits), 0);
         assert_eq!(m.read(&m.bytes_served), 1024);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let (p50, p90, p99, p999) = percentiles((1..=1000).map(|v| v as f64).collect());
-        assert_eq!(p50, 500.0);
-        assert_eq!(p90, 900.0);
-        assert_eq!(p99, 990.0);
-        assert_eq!(p999, 999.0);
-        assert_eq!(percentiles(vec![]), (0.0, 0.0, 0.0, 0.0));
-        assert_eq!(percentiles(vec![7.5]), (7.5, 7.5, 7.5, 7.5));
     }
 
     #[test]

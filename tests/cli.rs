@@ -2,8 +2,9 @@
 //! --canonical` prints exactly the body the daemon serves, every
 //! file-based subcommand rejects a misspelled flag or a flag missing its
 //! value instead of silently running with a default, an edge list that
-//! declares more vertices than `u32` ids can address is a clean error,
-//! and the removed transport subcommands get the unknown-command error.
+//! declares more vertices than `u32` ids can address is a clean error, so
+//! is an `ε` too small to simulate, and the removed transport subcommands
+//! get the unknown-command error.
 
 use mmvc::core::run::{run, AlgorithmKind, RunSpec};
 use mmvc::serve::canonical_report_body;
@@ -108,6 +109,27 @@ fn stats_refuses_a_vertex_count_beyond_u32_ids() {
     assert_rejected(&["stats", &path], "2^32");
     assert_eq!(mmvc(&["stats", &path]).status.code(), Some(1));
     std::fs::remove_file(&path).ok();
+}
+
+/// An `ε` whose growth factor rounds to 1 is refused as an invalid
+/// epsilon, and one whose direct simulation would outrun the iterations
+/// its weights can index exactly as an invalid `eps` parameter.
+#[test]
+fn run_refuses_an_eps_too_small_to_simulate() {
+    let run = [
+        "run",
+        "vertex-cover",
+        "gnp-sparse",
+        "--n",
+        "256",
+        "--seed",
+        "7",
+    ];
+    assert_rejected(&[&run[..], &["--eps", "1e-17"]].concat(), "invalid epsilon");
+    assert_rejected(
+        &[&run[..], &["--eps", "1e-9"]].concat(),
+        "invalid parameter `eps`",
+    );
 }
 
 /// Removed subcommands (the transport pair and the sweep) get the same

@@ -49,6 +49,11 @@ fn golden_specs() -> Vec<RunSpec> {
     ] {
         specs.push(spec(kind, "gnp-sparse", 4096, None));
     }
+    // MPC-Simulation where its tail spans several chunks: after phases
+    // (power-law), and after a long ramp of no-op iterations (gnp-mid).
+    for scenario in ["power-law", "gnp-mid"] {
+        specs.push(spec(AlgorithmKind::MpcMatching, scenario, 4096, None));
+    }
     // perfbench cold-run's three specs, at reduced n.
     for (kind, scenario, n) in [
         (AlgorithmKind::GreedyMis, "scale-gnp-1m", 1 << 14),

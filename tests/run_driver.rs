@@ -136,6 +136,22 @@ fn executor_choice_never_changes_a_report() {
         let b = canonical_json(run(&thr).unwrap());
         assert_eq!(a, b, "{kind} diverged across executors at n = 4096");
     }
+    // The kinds that lend the spec's executor to a nested stage, where
+    // that stage's scans span two chunks.
+    for kind in [
+        AlgorithmKind::OnePlusEpsMatching,
+        AlgorithmKind::WeightedMatching,
+    ] {
+        let mut seq = small_spec(kind, "gnp-sparse");
+        seq.n = Some(2048);
+        seq.overrides.space_factor = None;
+        seq.executor = ExecutorConfig::sequential();
+        let mut thr = seq.clone();
+        thr.executor = ExecutorConfig::with_threads(2);
+        let a = canonical_json(run(&seq).unwrap());
+        let b = canonical_json(run(&thr).unwrap());
+        assert_eq!(a, b, "{kind} diverged across executors at n = 2048");
+    }
 }
 
 #[test]
