@@ -9,7 +9,8 @@ use mmvc_substrate::Bitset;
 /// Output of [`luby_mis`].
 #[derive(Debug, Clone)]
 pub struct LubyOutcome {
-    /// The maximal independent set.
+    /// The maximal independent set, built unchecked: the run layer
+    /// validates it once.
     pub mis: IndependentSet,
     /// Synchronous rounds executed — `O(log n)` w.h.p. \[Lub86\], the
     /// baseline the paper's `O(log log Δ)` algorithm improves on.
@@ -89,9 +90,7 @@ pub fn luby_mis(g: &Graph, seed: u64) -> LubyOutcome {
         rounds += 1;
     }
 
-    let members: Vec<u32> = in_mis.iter_ones().map(|v| v as u32).collect();
-    let mis = IndependentSet::new(g, members).expect("local minima are independent");
-    debug_assert!(mis.is_maximal(g));
+    let mis = IndependentSet::from_bitset_unchecked(&in_mis);
     LubyOutcome { mis, rounds }
 }
 

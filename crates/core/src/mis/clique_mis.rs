@@ -62,7 +62,8 @@ impl CliqueMisConfig {
 /// Output of [`clique_mis`].
 #[derive(Debug, Clone)]
 pub struct CliqueMisOutcome {
-    /// The maximal independent set.
+    /// The maximal independent set, built unchecked: the run layer
+    /// validates it once.
     pub mis: IndependentSet,
     /// Rank-prefix phases executed.
     pub prefix_phases: usize,
@@ -342,12 +343,9 @@ pub fn clique_mis(g: &Graph, config: &CliqueMisConfig) -> Result<CliqueMisOutcom
     }
     drop(span);
 
-    let members: Vec<VertexId> = in_mis.iter_ones().map(|v| v as VertexId).collect();
+    let mis = IndependentSet::from_bitset_unchecked(&in_mis);
     alive.recycle(&pool);
     in_mis.recycle(&pool);
-    let mis =
-        IndependentSet::new(g, members).expect("greedy construction yields an independent set");
-    debug_assert!(mis.is_maximal(g));
 
     Ok(CliqueMisOutcome {
         mis,

@@ -88,7 +88,8 @@ impl GreedyMisConfig {
 /// Output of [`greedy_mpc_mis`].
 #[derive(Debug, Clone)]
 pub struct GreedyMisOutcome {
-    /// The maximal independent set.
+    /// The maximal independent set, built unchecked: the run layer
+    /// validates it once.
     pub mis: IndependentSet,
     /// Rank-prefix phases executed (the `O(log log Δ)` quantity of
     /// Theorem 1.1).
@@ -328,12 +329,9 @@ pub fn greedy_mpc_mis(g: &Graph, config: &GreedyMisConfig) -> Result<GreedyMisOu
     }
     drop(span);
 
-    let members: Vec<VertexId> = in_mis.iter_ones().map(|v| v as VertexId).collect();
+    let mis = IndependentSet::from_bitset_unchecked(&in_mis);
     alive.recycle(&pool);
     in_mis.recycle(&pool);
-    let mis =
-        IndependentSet::new(g, members).expect("greedy construction yields an independent set");
-    debug_assert!(mis.is_maximal(g));
 
     Ok(GreedyMisOutcome {
         mis,

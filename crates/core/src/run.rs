@@ -51,9 +51,10 @@ use crate::mis::{
 use crate::vertex_cover::{approx_min_vertex_cover, VertexCoverConfig, VertexCoverOutcome};
 use mmvc_graph::mis::IndependentSet;
 use mmvc_graph::scenarios;
+use mmvc_graph::validate::{self, Violation};
 use mmvc_graph::weighted::WeightedGraph;
 use mmvc_graph::{Graph, VertexId};
-use mmvc_substrate::{Bitset, ExecutionTrace, ExecutorConfig, Substrate};
+use mmvc_substrate::{Bitset, ExecutionTrace, ExecutorConfig, ScratchPool, Substrate};
 
 /// Seed salt separating the weight stream of [`weighted_instance`] from
 /// the algorithm's own randomness.
@@ -762,9 +763,42 @@ pub fn weighted_instance(g: &Graph, spec: &RunSpec) -> WeightedGraph {
         .expect("weight range must be valid")
 }
 
-/// Validates that every matched edge exists in `g`.
-pub(crate) fn matching_in_graph(g: &Graph, m: &mmvc_graph::matching::Matching) -> bool {
-    m.edges().iter().all(|e| g.has_edge(e.u(), e.v()))
+/// Checks one witness exactly once with its [`validate`] check, under a
+/// `validate` span tagged with the witness kind (arg `valid`). A
+/// violation is reported as `valid: false`, never as a panic.
+pub(crate) fn check_witness(
+    exec: &ExecutorConfig,
+    kind: &'static str,
+    size: usize,
+    check: impl FnOnce() -> Result<(), Violation>,
+) -> WitnessStat {
+    let mut span = exec.telemetry().span_tagged("validate", kind);
+    let valid = check().is_ok();
+    span.arg("valid", u64::from(valid));
+    WitnessStat { kind, size, valid }
+}
+
+/// A membership mask of `set` over `0..n`, drawn from `pool`.
+pub(crate) fn member_mask(pool: &ScratchPool, n: usize, set: &IndependentSet) -> Bitset {
+    let mut mask = Bitset::new_in(pool, n);
+    for &v in set.members() {
+        mask.set(v as usize);
+    }
+    mask
+}
+
+/// [`validate::mis`] on an [`IndependentSet`], through a pooled mask of
+/// its members.
+fn mis_witness(g: &Graph, mis: &IndependentSet, exec: &ExecutorConfig) -> WitnessStat {
+    check_witness(exec, "mis", mis.len(), || {
+        let pool = exec
+            .scratch()
+            .expect("run_detailed installs a scratch arena");
+        let mask = member_mask(pool, g.num_vertices(), mis);
+        let result = validate::mis(g, &mask, exec);
+        mask.recycle(pool);
+        result
+    })
 }
 
 /// Resolves `spec.scenario` through the registry and builds the workload.
@@ -1057,11 +1091,7 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
                 cfg.space_factor = s;
             }
             let out = greedy_mpc_mis(g, &cfg)?;
-            let witness = WitnessStat {
-                kind: "mis",
-                size: out.mis.len(),
-                valid: out.mis.is_maximal(g),
-            };
+            let witness = mis_witness(g, &out.mis, &spec.executor);
             let mut substrate = SubstrateReport::measure(&out.trace, log_log2(maxdeg.max(4)));
             substrate.substrate = "mpc";
             let metrics = vec![
@@ -1085,11 +1115,7 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
             let mut cfg = CliqueMisConfig::new(spec.seed);
             cfg.executor = spec.executor.clone();
             let out = clique_mis(g, &cfg)?;
-            let witness = WitnessStat {
-                kind: "mis",
-                size: out.mis.len(),
-                valid: out.mis.is_maximal(g),
-            };
+            let witness = mis_witness(g, &out.mis, &spec.executor);
             let mut substrate = SubstrateReport::measure(&out.trace, log_log2(maxdeg.max(4)));
             substrate.substrate = "congested-clique";
             let metrics = vec![
@@ -1127,19 +1153,10 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
                     }
                 }
             }
-            let members = in_mis.iter_ones().map(|v| v as VertexId);
-            let (size, valid, mis) = match IndependentSet::new(g, members) {
-                Some(s) => {
-                    let v = s.is_maximal(g);
-                    (s.len(), v, s)
-                }
-                None => (0, false, IndependentSet::empty(n)),
-            };
-            let witness = WitnessStat {
-                kind: "mis",
-                size,
-                valid,
-            };
+            let mis = IndependentSet::from_bitset_unchecked(&in_mis);
+            let witness = check_witness(&spec.executor, "mis", mis.len(), || {
+                validate::mis(g, &in_mis, &spec.executor)
+            });
             // One exchange per process round plus the residual gather.
             let rounds = out.rounds + 1;
             let substrate =
@@ -1161,11 +1178,7 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
         }
         AlgorithmKind::LubyMis => {
             let out = luby_mis(g, spec.seed);
-            let witness = WitnessStat {
-                kind: "mis",
-                size: out.mis.len(),
-                valid: out.mis.is_maximal(g),
-            };
+            let witness = mis_witness(g, &out.mis, &spec.executor);
             let substrate =
                 SubstrateReport::from_rounds("luby", out.rounds, (n.max(2) as f64).log2());
             Ok((
@@ -1182,11 +1195,9 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
                 _ => CentralConfig::random(spec.eps, spec.seed),
             };
             let out = run_central(g, &cfg);
-            let witness = WitnessStat {
-                kind: "cover",
-                size: out.cover.len(),
-                valid: out.cover.covers(g),
-            };
+            let witness = check_witness(&spec.executor, "cover", out.cover.len(), || {
+                validate::cover(g, &out.cover, &spec.executor)
+            });
             // Lemma 4.1: O(log n / ε) iterations — the explicit bound is
             // ln(n) / ln(1/(1−ε)).
             let claimed = ((n.max(2) as f64).ln() / (1.0 / (1.0 - spec.eps.get())).ln()).ceil();
@@ -1209,11 +1220,9 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
         AlgorithmKind::MpcMatching => {
             let cfg = sim_config(spec);
             let out = mpc_simulation(g, &cfg)?;
-            let witness = WitnessStat {
-                kind: "cover",
-                size: out.cover.len(),
-                valid: out.cover.covers(g),
-            };
+            let witness = check_witness(&spec.executor, "cover", out.cover.len(), || {
+                validate::cover(g, &out.cover, &spec.executor)
+            });
             let mut substrate = SubstrateReport::measure(&out.trace, log_log2(n));
             substrate.substrate = "mpc";
             let mut metrics = Vec::new();
@@ -1234,11 +1243,9 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
                 cfg.space_factor = s;
             }
             let out = filtering_maximal_matching(g, &cfg)?;
-            let witness = WitnessStat {
-                kind: "matching",
-                size: out.matching.len(),
-                valid: matching_in_graph(g, &out.matching) && out.matching.is_maximal(g),
-            };
+            let witness = check_witness(&spec.executor, "matching", out.matching.len(), || {
+                validate::maximal_matching(g, &out.matching, &spec.executor)
+            });
             // LMSV Lemma 3.2: edges halve per filtering round w.h.p.
             let mut substrate = SubstrateReport::measure(&out.trace, (n.max(2) as f64).log2());
             substrate.substrate = "mpc";
@@ -1259,16 +1266,12 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
             };
             let out = integral_matching(g, &cfg)?;
             let witnesses = vec![
-                WitnessStat {
-                    kind: "matching",
-                    size: out.matching.len(),
-                    valid: matching_in_graph(g, &out.matching),
-                },
-                WitnessStat {
-                    kind: "cover",
-                    size: out.cover.len(),
-                    valid: out.cover.covers(g),
-                },
+                check_witness(&spec.executor, "matching", out.matching.len(), || {
+                    validate::matching(g, &out.matching)
+                }),
+                check_witness(&spec.executor, "cover", out.cover.len(), || {
+                    validate::cover(g, &out.cover, &spec.executor)
+                }),
             ];
             let substrate = SubstrateReport::from_rounds("mpc", out.total_rounds, log_log2(n));
             let metrics = vec![
@@ -1287,11 +1290,9 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
             let mut cfg = AugmentConfig::new(spec.eps, spec.seed);
             cfg.executor = spec.executor.clone();
             let out = one_plus_eps_matching(g, &cfg)?;
-            let witness = WitnessStat {
-                kind: "matching",
-                size: out.matching.len(),
-                valid: matching_in_graph(g, &out.matching) && out.matching.is_maximal(g),
-            };
+            let witness = check_witness(&spec.executor, "matching", out.matching.len(), || {
+                validate::maximal_matching(g, &out.matching, &spec.executor)
+            });
             // Corollary 1.3: O(log log n)·(1/ε)^O(1/ε) rounds; the
             // practical reference curve keeps the leading factors only.
             let claimed = log_log2(n) / spec.eps.get();
@@ -1319,11 +1320,9 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
             let mut cfg = WeightedMatchingConfig::new(spec.eps, spec.seed);
             cfg.executor = spec.executor.clone();
             let out = crate::matching::weighted_matching(&wg, &cfg)?;
-            let witness = WitnessStat {
-                kind: "matching",
-                size: out.matching.len(),
-                valid: matching_in_graph(g, &out.matching),
-            };
+            let witness = check_witness(&spec.executor, "matching", out.matching.len(), || {
+                validate::matching(g, &out.matching)
+            });
             // Corollary 1.4 pipelines one O(log log n) subroutine per
             // non-empty weight class.
             let claimed = (out.classes.max(1) as f64) * log_log2(n);
@@ -1345,11 +1344,9 @@ fn dispatch(g: &Graph, spec: &RunSpec) -> Result<DispatchOut, CoreError> {
                 sim: sim_config(spec),
             };
             let out = approx_min_vertex_cover(g, &cfg)?;
-            let witness = WitnessStat {
-                kind: "cover",
-                size: out.cover.len(),
-                valid: out.cover.covers(g),
-            };
+            let witness = check_witness(&spec.executor, "cover", out.cover.len(), || {
+                validate::cover(g, &out.cover, &spec.executor)
+            });
             let substrate = SubstrateReport::from_rounds("mpc", out.total_rounds, log_log2(n));
             let metrics = vec![
                 (

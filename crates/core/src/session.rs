@@ -28,11 +28,14 @@
 //! addable vertex is scanned, and the result is again maximal; vertices
 //! outside the frontier keep at least one blocker, so independence and
 //! maximality both survive. The claim is not trusted: incremental
-//! reports run the **same witness validators** (`is_maximal`,
-//! `matching_in_graph`) and the same budget checks as cold runs, and
-//! [`Session::run_incremental_with`]'s `verify_cold` knob additionally
-//! cross-checks witness validity against a fresh cold run (used by the
-//! test suite and `bench_update`).
+//! reports run the **same witness checks** as cold runs, once each —
+//! [`validate::mis`] on the session's own member mask, which stays in
+//! the session arena from run to run, and [`validate::maximal_matching`]
+//! — and the same budget checks. A repaired witness that fails its
+//! check is reported `valid: false` and is not kept as warm state, so
+//! the next run re-warms cold. [`Session::run_incremental_with`]'s
+//! `verify_cold` knob additionally cross-checks witness validity
+//! against a fresh cold run (used by the test suite and `bench_update`).
 //!
 //! # Examples
 //!
@@ -61,20 +64,21 @@
 use crate::error::CoreError;
 use crate::matching::augmentation_pass;
 use crate::run::{
-    build_workload, log_log2, matching_in_graph, run_detailed, AlgorithmKind, MetricValue,
+    build_workload, check_witness, log_log2, member_mask, run_detailed, AlgorithmKind, MetricValue,
     RunArtifacts, RunReport, RunSpec, SubstrateReport, WitnessStat,
 };
 use mmvc_graph::matching::Matching;
-use mmvc_graph::mis::IndependentSet;
+use mmvc_graph::validate;
 use mmvc_graph::{Graph, GraphDelta, VertexId};
-use mmvc_substrate::{Bitset, ExecutionTrace};
+use mmvc_substrate::{Bitset, ExecutionTrace, ScratchPool};
 
 /// Witness state surviving from the previous run, the seed of the next
 /// incremental one.
 #[derive(Debug, Clone)]
 enum Warm {
-    /// Members of the previous maximal independent set.
-    Mis(Vec<VertexId>),
+    /// Membership mask of the previous maximal independent set, drawn
+    /// from the session arena.
+    Mis(Bitset),
     /// Matched pairs of the previous maximal matching (pruned as edge
     /// deletions land).
     Matching(Vec<(VertexId, VertexId)>),
@@ -204,8 +208,13 @@ impl Session {
     /// Propagates the algorithm's [`CoreError`].
     pub fn run_cold(&mut self) -> Result<RunReport, CoreError> {
         let (mut report, artifacts) = run_detailed(&self.graph, &self.label, &self.spec)?;
+        self.recycle_warm();
         self.warm = match &artifacts {
-            RunArtifacts::GreedyMis(out) => Some(Warm::Mis(out.mis.members().to_vec())),
+            RunArtifacts::GreedyMis(out) => Some(Warm::Mis(member_mask(
+                self.pool(),
+                self.graph.num_vertices(),
+                &out.mis,
+            ))),
             RunArtifacts::OnePlusEps(out) => Some(Warm::Matching(
                 out.matching
                     .edges()
@@ -286,24 +295,30 @@ impl Session {
         Ok(report)
     }
 
+    /// The session arena, installed by [`Session::new`].
+    fn pool(&self) -> &ScratchPool {
+        self.spec
+            .executor
+            .scratch()
+            .expect("Session::new installs a scratch arena")
+    }
+
+    /// Returns a warm MIS mask's words to the arena.
+    fn recycle_warm(&mut self) {
+        if let Some(Warm::Mis(mask)) = self.warm.take() {
+            mask.recycle(self.pool());
+        }
+    }
+
     /// MIS repair: drop members adjacent to inserted edges, then greedy
     /// re-insertion over the affected frontier in ascending id order.
     fn rerun_mis(&mut self) -> Result<RunReport, CoreError> {
         let start = std::time::Instant::now();
         let g = &self.graph;
-        let members = match self.warm.take() {
+        let mut mask = match self.warm.take() {
             Some(Warm::Mis(m)) => m,
             _ => unreachable!("caller matched Warm::Mis"),
         };
-        let pool = self
-            .spec
-            .executor
-            .scratch()
-            .expect("Session::new installs a scratch arena");
-        let mut mask = Bitset::new_in(pool, g.num_vertices());
-        for &v in &members {
-            mask.set(v as usize);
-        }
 
         // Drop phase: an inserted edge inside the set evicts the larger
         // endpoint (deterministic; processed in canonical edge order).
@@ -341,17 +356,10 @@ impl Session {
             }
         }
 
-        let survivors: Vec<VertexId> = mask.iter_ones().map(|v| v as VertexId).collect();
-        mask.recycle(pool);
-        let (size, valid, new_members) = match IndependentSet::new(g, survivors.iter().copied()) {
-            Some(set) => (set.len(), set.is_maximal(g), survivors),
-            None => (survivors.len(), false, members),
-        };
-        let witness = WitnessStat {
-            kind: "mis",
-            size,
-            valid,
-        };
+        let exec = &self.spec.executor;
+        let witness = check_witness(exec, "mis", mask.count_ones(), || {
+            validate::mis(g, &mask, exec)
+        });
         // One drop round + one frontier re-insertion round, against the
         // paper's cold-run claim for this graph.
         let substrate = SubstrateReport::from_rounds("mpc", 2, log_log2(g.max_degree().max(4)));
@@ -362,8 +370,15 @@ impl Session {
             ("dropped", MetricValue::Int(dropped.len() as i64)),
             ("readded", MetricValue::Int(readded as i64)),
         ];
+        // A repaired set that fails its check is not trusted as the seed
+        // of the next repair: that run re-warms cold instead.
+        let valid = witness.valid;
         let report = self.finish(vec![witness], substrate, metrics, start);
-        self.warm = Some(Warm::Mis(new_members));
+        if valid {
+            self.warm = Some(Warm::Mis(mask));
+        } else {
+            mask.recycle(self.pool());
+        }
         self.pending_ins.clear();
         self.pending_del.clear();
         Ok(report)
@@ -397,11 +412,10 @@ impl Session {
                 break;
             }
         }
-        let witness = WitnessStat {
-            kind: "matching",
-            size: matching.len(),
-            valid: matching_in_graph(g, &matching) && matching.is_maximal(g),
-        };
+        let exec = &self.spec.executor;
+        let witness = check_witness(exec, "matching", matching.len(), || {
+            validate::maximal_matching(g, &matching, exec)
+        });
         let substrate = SubstrateReport::from_rounds(
             "mpc",
             passes,

@@ -13,18 +13,21 @@
 //!   Inserting an edge that already exists and deleting one that does
 //!   not are no-ops (the mutated edge *set* is what is built), and the
 //!   last staged op per edge wins, so `delete; insert` re-inserts.
-//! * **Work.** Merge work is proportional to the delta plus one linear
-//!   copy of the untouched adjacency runs; vertex ranges the delta never
-//!   touches are bulk-copied (`memcpy`, no per-edge work). With a warm
-//!   [`ScratchPool`](mmvc_substrate::ScratchPool) on the executor, every
-//!   working buffer *and* the output arrays come from the arena, so a
-//!   small-churn rebuild allocates ~zero fresh bytes — pair with
+//! * **Work.** The merged CSR is written once, straight into its final
+//!   arrays, in one pass over the vertices in id order. Each untouched
+//!   span between two touched vertices is one bulk copy (`memcpy`, no
+//!   per-edge work) of the old adjacency run, and its offsets are the old
+//!   ones plus a running shift; each touched vertex runs a three-way
+//!   merge of its old row, its inserts and its deletes. Work is one copy
+//!   of the adjacency plus time proportional to the delta. With a warm
+//!   [`ScratchPool`](mmvc_substrate::ScratchPool) on the executor, the
+//!   op lists *and* the output arrays come from the arena, so a repeated
+//!   delta of the same size allocates no fresh bytes — pair with
 //!   [`Graph::recycle`] on the predecessor graph to keep the arena
 //!   stocked across a session's update loop.
-//! * **Determinism.** Range boundaries are the builder's own fixed
-//!   [`BUILD_VERTEX_CHUNK`] — never a function of the thread count — and
-//!   each range's output depends only on its input slice, so executor
-//!   choice washes out of the bytes entirely.
+//! * **Determinism.** The merge is one sequential pass whose output
+//!   depends only on the old graph and the normalized delta, so the
+//!   executor washes out of the bytes entirely.
 //!
 //! Wide graphs (u64 offsets) and merges that would overflow the
 //! `u32`-packed representation take a from-scratch rebuild of the
@@ -47,7 +50,6 @@
 //! ```
 
 use crate::error::GraphError;
-use crate::graph::BUILD_VERTEX_CHUNK;
 use crate::graph::{pack_edge, Edge, Graph, GraphBuilder, OffsetArray, VertexId};
 use mmvc_substrate::ExecutorConfig;
 
@@ -160,11 +162,6 @@ impl GraphDelta {
     }
 }
 
-/// Per-range output of the delta merge, in the builder's pass-2 shape:
-/// concatenated sorted neighbor runs, per-vertex degrees, per-vertex
-/// forward-neighbor counts.
-type RangePart = (Vec<u32>, Vec<u32>, Vec<u32>);
-
 impl Graph {
     /// Applies a delta on a default executor. See
     /// [`apply_delta_with`](Self::apply_delta_with).
@@ -242,137 +239,96 @@ impl Graph {
         let dins = directed(&ins);
         let ddel = directed(&del);
 
-        // One merge task per fixed vertex range — the builder's own
-        // granularity, so range boundaries (and therefore bytes) match a
-        // from-scratch build under every executor.
-        let ranges = n.div_ceil(BUILD_VERTEX_CHUNK).max(1);
-        let parts: Vec<RangePart> = {
-            let dins = &dins;
-            let ddel = &ddel;
-            exec.run(ranges, |r| {
-                let base = r * BUILD_VERTEX_CHUNK;
-                let size = BUILD_VERTEX_CHUNK.min(n - base);
-                let owner = |p: &u64| (*p >> 32) as usize;
-                let ilo = dins.partition_point(|p| owner(p) < base);
-                let ihi = dins.partition_point(|p| owner(p) < base + size);
-                let dlo = ddel.partition_point(|p| owner(p) < base);
-                let dhi = ddel.partition_point(|p| owner(p) < base + size);
-
-                let mut deg = exec.take_u32(size);
-                deg.resize(size, 0);
-                let mut fwd = exec.take_u32(size);
-                fwd.resize(size, 0);
-
-                let (range_start, range_end) =
-                    (self.offsets.get(base), self.offsets.get(base + size));
-                if ilo == ihi && dlo == dhi {
-                    // Untouched range: bulk-copy the adjacency run and
-                    // read degrees off the existing prefix sums.
-                    let mut buf = exec.take_u32(range_end - range_start);
-                    buf.extend_from_slice(&self.adj[range_start..range_end]);
-                    for lv in 0..size {
-                        let (s, e) = self.offsets.pair(base + lv);
-                        deg[lv] = (e - s) as u32;
-                        let (fs, fe) = self.fwd_offsets.pair(base + lv);
-                        fwd[lv] = (fe - fs) as u32;
-                    }
-                    return (buf, deg, fwd);
-                }
-
-                let mut buf = exec.take_u32(range_end - range_start + (ihi - ilo));
-                let (mut ii, mut di) = (ilo, dlo);
-                for lv in 0..size {
-                    let gv = (base + lv) as u32;
-                    let (s, e) = self.offsets.pair(base + lv);
-                    let old = &self.adj[s..e];
-                    // This vertex's op runs (sorted neighbor values).
-                    let istart = ii;
-                    while ii < ihi && (dins[ii] >> 32) as u32 == gv {
-                        ii += 1;
-                    }
-                    let dstart = di;
-                    while di < dhi && (ddel[di] >> 32) as u32 == gv {
-                        di += 1;
-                    }
-                    if istart == ii && dstart == di {
-                        buf.extend_from_slice(old);
-                        deg[lv] = old.len() as u32;
-                        let (fs, fe) = self.fwd_offsets.pair(base + lv);
-                        fwd[lv] = (fe - fs) as u32;
-                        continue;
-                    }
-                    // Merge-union old ∪ inserts, minus deletes; all three
-                    // runs sorted, output stays sorted. Counting forward
-                    // neighbors (> gv) on the way out replaces the
-                    // builder's partition_point.
-                    let add = &dins[istart..ii];
-                    let drop_run = &ddel[dstart..di];
-                    let (mut oi, mut ai, mut ki) = (0usize, 0usize, 0usize);
-                    let (start_len, mut fwd_count) = (buf.len(), 0u32);
-                    while oi < old.len() || ai < add.len() {
-                        let take_old =
-                            ai >= add.len() || (oi < old.len() && old[oi] <= add[ai] as u32);
-                        let x = if take_old {
-                            let x = old[oi];
-                            oi += 1;
-                            // Insert of an existing edge: drop the dup.
-                            if ai < add.len() && add[ai] as u32 == x {
-                                ai += 1;
-                            }
-                            x
-                        } else {
-                            let x = add[ai] as u32;
-                            ai += 1;
-                            x
-                        };
-                        while ki < drop_run.len() && (drop_run[ki] as u32) < x {
-                            ki += 1;
-                        }
-                        if ki < drop_run.len() && drop_run[ki] as u32 == x {
-                            ki += 1; // deleted
-                            continue;
-                        }
-                        buf.push(x);
-                        if x > gv {
-                            fwd_count += 1;
-                        }
-                    }
-                    deg[lv] = (buf.len() - start_len) as u32;
-                    fwd[lv] = fwd_count;
-                }
-                (buf, deg, fwd)
-            })
+        // Write once: walk the touched vertices (the owners of the sorted
+        // directed ops) in id order. Each untouched span between two of
+        // them is one bulk copy of the old adjacency run, and its offsets
+        // are the old ones plus a running shift; each touched vertex is a
+        // three-way merge straight into the final array. The output
+        // arrays come from the arena at their exact size — with
+        // `Graph::recycle` feeding the predecessor back, a repeated delta
+        // allocates no fresh bytes.
+        let (OffsetArray::U32(old_off), OffsetArray::U32(old_fwd)) =
+            (&self.offsets, &self.fwd_offsets)
+        else {
+            unreachable!("wide offsets took the rebuild path");
         };
-        exec.recycle_u64(dins);
-        exec.recycle_u64(ddel);
-
-        // Assemble exactly like the builder: concatenate per-range
-        // outputs in range order, prefix-sum the degrees. Output arrays
-        // come from the arena too — with `Graph::recycle` feeding the
-        // predecessor back, a steady-state update loop allocates ~zero
-        // fresh bytes.
         let mut offsets = exec.take_u32(n + 1);
         let mut fwd_offsets = exec.take_u32(n + 1);
         let mut adj = exec.take_u32(new_directed);
         offsets.push(0);
         fwd_offsets.push(0);
-        let (mut off, mut f) = (0u32, 0u32);
-        for (buf, deg, fwd) in &parts {
-            adj.extend_from_slice(buf);
-            for &d in deg {
-                off += d;
-                offsets.push(off);
+        let owner = |p: u64| (p >> 32) as usize;
+        // The owner of op `i`, or `n` past the end.
+        let owner_at = |ops: &[u64], i: usize| ops.get(i).map_or(n, |&p| owner(p));
+        let (mut ii, mut di) = (0usize, 0usize);
+        let mut next = 0usize; // first vertex not yet written
+        loop {
+            let t = owner_at(&dins, ii).min(owner_at(&ddel, di));
+            // Untouched span `next..t`: shift = new offset − old offset,
+            // in wrapping `u32` arithmetic (every result fits in `u32`).
+            let shift = offsets[next].wrapping_sub(old_off[next]);
+            let fwd_shift = fwd_offsets[next].wrapping_sub(old_fwd[next]);
+            adj.extend_from_slice(&self.adj[old_off[next] as usize..old_off[t] as usize]);
+            offsets.extend(old_off[next + 1..=t].iter().map(|&o| o.wrapping_add(shift)));
+            fwd_offsets.extend(
+                old_fwd[next + 1..=t]
+                    .iter()
+                    .map(|&o| o.wrapping_add(fwd_shift)),
+            );
+            if t == n {
+                break;
             }
-            for &c in fwd {
-                f += c;
-                fwd_offsets.push(f);
+            // Touched vertex `t`: merge-union old ∪ inserts, minus
+            // deletes; all three runs sorted, so the output stays sorted.
+            // Counting forward neighbors (> t) on the way out replaces
+            // the builder's partition_point.
+            let gv = t as u32;
+            let old = &self.adj[old_off[t] as usize..old_off[t + 1] as usize];
+            let istart = ii;
+            while ii < dins.len() && owner(dins[ii]) == t {
+                ii += 1;
             }
+            let dstart = di;
+            while di < ddel.len() && owner(ddel[di]) == t {
+                di += 1;
+            }
+            let add = &dins[istart..ii];
+            let drop_run = &ddel[dstart..di];
+            let (mut oi, mut ai, mut ki) = (0usize, 0usize, 0usize);
+            let mut fwd_count = 0u32;
+            while oi < old.len() || ai < add.len() {
+                let take_old = ai >= add.len() || (oi < old.len() && old[oi] <= add[ai] as u32);
+                let x = if take_old {
+                    let x = old[oi];
+                    oi += 1;
+                    // Insert of an existing edge: drop the dup.
+                    if ai < add.len() && add[ai] as u32 == x {
+                        ai += 1;
+                    }
+                    x
+                } else {
+                    let x = add[ai] as u32;
+                    ai += 1;
+                    x
+                };
+                while ki < drop_run.len() && (drop_run[ki] as u32) < x {
+                    ki += 1;
+                }
+                if ki < drop_run.len() && drop_run[ki] as u32 == x {
+                    ki += 1; // deleted
+                    continue;
+                }
+                adj.push(x);
+                if x > gv {
+                    fwd_count += 1;
+                }
+            }
+            offsets.push(adj.len() as u32);
+            fwd_offsets.push(fwd_offsets[t] + fwd_count);
+            next = t + 1;
         }
-        for (buf, deg, fwd) in parts {
-            exec.recycle_u32(buf);
-            exec.recycle_u32(deg);
-            exec.recycle_u32(fwd);
-        }
+        exec.recycle_u64(dins);
+        exec.recycle_u64(ddel);
         debug_assert_eq!(adj.len(), new_directed);
         Ok(Graph {
             n,
@@ -436,6 +392,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::generators;
+    use crate::graph::BUILD_VERTEX_CHUNK;
 
     /// From-scratch reference: the mutated edge list through the
     /// ordinary builder.
@@ -472,6 +429,59 @@ mod tests {
             let merged = g.apply_delta_with(&delta, &exec).unwrap();
             assert_eq!(merged, reference(&g, &delta, &exec));
             assert!(!merged.csr_offsets().is_wide());
+        }
+    }
+
+    /// Three `BUILD_VERTEX_CHUNK` ranges, with ops on both sides of each
+    /// boundary, a vertex that loses every edge, an isolated vertex that
+    /// gains two, and a run of consecutive touched vertices.
+    #[test]
+    fn merge_across_range_boundaries_matches_a_from_scratch_build() {
+        let c = BUILD_VERTEX_CHUNK as VertexId;
+        let n = 2 * BUILD_VERTEX_CHUNK + 17;
+        let last = n as VertexId - 1;
+        let isolated = c + 2;
+        // Paths of three plus chords, so every boundary vertex has edges;
+        // `isolated` gets none.
+        let mut b = GraphBuilder::new(n);
+        for v in 0..last {
+            let path = (v % 3 != 2).then_some(v + 1);
+            let chord = (v % 7 == 0).then_some((v * 13 + 5) % last);
+            for w in path.into_iter().chain(chord) {
+                if w != v && v != isolated && w != isolated {
+                    b.add_edge(v, w).unwrap();
+                }
+            }
+        }
+        let g = b.build();
+        assert_eq!(g.degree(isolated), 0);
+        let lonely = 4 * c / 3; // every edge of it is deleted below
+        assert!(g.degree(lonely) > 0);
+
+        let mut delta = GraphDelta::new();
+        for &v in &[0, c - 1, c, 2 * c - 1, 2 * c, last] {
+            delta.insert_edge(v, (v + c / 2) % n as VertexId).unwrap();
+            if let Some(&w) = g.neighbors(v).first() {
+                delta.delete_edge(v, w).unwrap();
+            }
+        }
+        for &w in g.neighbors(lonely) {
+            delta.delete_edge(lonely, w).unwrap();
+        }
+        delta.insert_edge(isolated, 7).unwrap();
+        delta.insert_edge(isolated, last - 3).unwrap();
+        for v in c + 100..c + 110 {
+            delta.insert_edge(v, v + 5000).unwrap();
+        }
+
+        for exec in [
+            ExecutorConfig::sequential(),
+            ExecutorConfig::with_threads(3),
+        ] {
+            let merged = g.apply_delta_with(&delta, &exec).unwrap();
+            assert_eq!(merged, reference(&g, &delta, &exec));
+            assert_eq!(merged.degree(lonely), 0);
+            assert_eq!(merged.degree(isolated), 2);
         }
     }
 

@@ -23,6 +23,9 @@
 //!   greedy MIS (paper, Section 3.1).
 //! * [`vertex_cover`] — validated covers, the classical 2-approximation,
 //!   and exact solvers for verification.
+//! * [`validate`] — the run layer's witness checks: one pass over the
+//!   rows of one vertex set per check, returning the first
+//!   [`validate::Violation`] in id order.
 //! * [`weighted`] — edge-weighted graphs for the Corollary 1.4 experiments.
 //! * [`rng`] — deterministic seeded randomness, including the stateless
 //!   per-`(vertex, iteration)` hashing that lets distributed simulations
@@ -55,6 +58,7 @@ pub mod mis;
 pub mod rng;
 pub mod scenarios;
 pub mod stats;
+pub mod validate;
 pub mod vertex_cover;
 pub mod weighted;
 

@@ -3,6 +3,7 @@
 
 use crate::graph::{Graph, VertexId};
 use crate::rng::{invert_permutation, random_permutation};
+use mmvc_substrate::Bitset;
 
 /// A validated independent set of a graph.
 ///
@@ -49,6 +50,20 @@ impl IndependentSet {
         }
         s.members.sort_unstable();
         Some(s)
+    }
+
+    /// Builds from a membership [`Bitset`] without validation, as
+    /// [`VertexCover::from_mask_unchecked`](crate::vertex_cover::VertexCover::from_mask_unchecked)
+    /// does: algorithms that prove independence by construction return
+    /// unchecked sets, and the run layer checks each one once with
+    /// [`validate::mis`](crate::validate::mis).
+    pub fn from_bitset_unchecked(mask: &Bitset) -> Self {
+        let members: Vec<VertexId> = mask.iter_ones().map(|v| v as VertexId).collect();
+        let mut in_set = vec![false; mask.len()];
+        for &v in &members {
+            in_set[v as usize] = true;
+        }
+        IndependentSet { members, in_set }
     }
 
     /// Builds from a membership mask without validation (callers uphold

@@ -1431,7 +1431,6 @@ fn no_such_session(id: u64) -> Reply {
 /// progress), the request queues behind it on the pool instead of
 /// stalling the reactor.
 fn fast_session_run(state: &AppState, id: u64) -> Option<Reply> {
-    state.metrics.bump(&state.metrics.run_requests);
     let Some(handle) = session_handle(state, id) else {
         return Some(no_such_session(id));
     };

@@ -243,3 +243,24 @@ fn matching_sessions_serve_incremental_reports() {
     );
     stop();
 }
+
+/// A session-scoped `POST /run` counts once in `run_requests`, whether
+/// it misses (worker path) or hits (reactor fast path), in both the JSON
+/// and the Prometheus form of `/metrics`.
+#[test]
+fn session_runs_count_once_in_run_requests() {
+    let (addr, stop) = start(None);
+    let id = create_session(&addr);
+    assert_eq!(run_session(&addr, id).header("x-cache"), Some("miss"));
+    assert_eq!(run_session(&addr, id).header("x-cache"), Some("hit"));
+    assert_eq!(run_session(&addr, id).header("x-cache"), Some("hit"));
+
+    let doc = metrics(&addr);
+    assert_eq!(doc.get("run_requests").and_then(Json::as_i64), Some(3));
+    let prom = client::get(&addr, "/metrics?format=prom").unwrap().text();
+    assert!(
+        prom.lines().any(|l| l == "mmvc_run_requests_total 3"),
+        "prometheus body: {prom}"
+    );
+    stop();
+}

@@ -267,3 +267,49 @@ fn mis_stage_spans_nest_under_algorithm() {
         arg("mis.gather", "words");
     }
 }
+
+/// Each witness is checked exactly once, under one `validate` span
+/// tagged with its kind and nested directly under `algorithm`, and
+/// tracing the check moves no canonical byte.
+#[test]
+fn each_witness_is_validated_once_under_algorithm() {
+    for (kind, witnesses) in [
+        (AlgorithmKind::GreedyMis, &["mis"][..]),
+        (AlgorithmKind::OnePlusEpsMatching, &["matching"]),
+        (AlgorithmKind::VertexCover, &["cover"]),
+        (AlgorithmKind::IntegralMatching, &["matching", "cover"]),
+    ] {
+        let mut spec = small_spec(kind, "gnp-sparse");
+        spec.n = Some(4096);
+        spec.overrides.space_factor = None;
+        let untraced = run(&spec).unwrap();
+        let telemetry = Telemetry::recording();
+        spec.executor = spec.executor.with_telemetry(&telemetry);
+        let traced = run(&spec).unwrap();
+        let kinds: Vec<&str> = traced.witnesses.iter().map(|w| w.kind).collect();
+        assert_eq!(kinds, witnesses, "{kind}");
+        assert!(traced.witnesses_valid(), "{kind}");
+        assert_eq!(
+            canonical_json(traced),
+            canonical_json(untraced),
+            "{kind}: canonical bytes must not depend on telemetry"
+        );
+
+        let events = telemetry.drain();
+        let spans = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.kind == EventKind::Span && e.name == name)
+                .collect::<Vec<_>>()
+        };
+        let algorithm = spans("algorithm");
+        assert_eq!(algorithm.len(), 1, "{kind}");
+        let validate = spans("validate");
+        let tags: Vec<&str> = validate.iter().filter_map(|e| e.tag.as_deref()).collect();
+        assert_eq!(tags, witnesses, "{kind}: one validate span per witness");
+        for span in validate {
+            assert_eq!(span.parent, algorithm[0].id, "{kind}: validate parent");
+            assert_eq!(span.args, vec![("valid", 1)], "{kind}");
+        }
+    }
+}
