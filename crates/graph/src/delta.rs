@@ -7,8 +7,8 @@
 //! counting-sort build. The contract is exact:
 //!
 //! * **Equivalence.** The result is byte-identical to a from-scratch
-//!   [`GraphBuilder`] build of the mutated edge list
-//!   `(E ∪ inserts) ∖ deletes` — same `u32`-packed offset arrays, same
+//!   [`GraphBuilder`](crate::GraphBuilder) build of the mutated edge list
+//!   `(E ∪ inserts) ∖ deletes` — same `u32` offset arrays, same
 //!   adjacency bytes — across `Sequential` and `Threaded{k}` executors.
 //!   Inserting an edge that already exists and deleting one that does
 //!   not are no-ops (the mutated edge *set* is what is built), and the
@@ -29,10 +29,9 @@
 //!   depends only on the old graph and the normalized delta, so the
 //!   executor washes out of the bytes entirely.
 //!
-//! Wide graphs (u64 offsets) and merges that would overflow the
-//! `u32`-packed representation take a from-scratch rebuild of the
-//! mutated edge list through the ordinary builder: the equivalence
-//! contract holds trivially there, at from-scratch cost.
+//! A merge whose result would pass `u32::MAX` directed entries is
+//! refused with [`GraphError::InvalidParameter`], by the same check the
+//! builder stages under: the offsets are `u32`.
 //!
 //! # Examples
 //!
@@ -50,7 +49,7 @@
 //! ```
 
 use crate::error::GraphError;
-use crate::graph::{pack_edge, Edge, Graph, GraphBuilder, OffsetArray, VertexId};
+use crate::graph::{check_directed, pack_edge, Edge, Graph, VertexId};
 use mmvc_substrate::ExecutorConfig;
 
 /// One staged mutation: the op kind for a packed canonical edge.
@@ -169,7 +168,8 @@ impl Graph {
     /// # Errors
     ///
     /// [`GraphError::VertexOutOfRange`] when the delta names a vertex
-    /// `>= num_vertices()`.
+    /// `>= num_vertices()`; [`GraphError::InvalidParameter`] when the
+    /// result would pass `u32::MAX` directed entries.
     pub fn apply_delta(&self, delta: &GraphDelta) -> Result<Graph, GraphError> {
         self.apply_delta_with(delta, &ExecutorConfig::default())
     }
@@ -187,7 +187,8 @@ impl Graph {
     /// # Errors
     ///
     /// [`GraphError::VertexOutOfRange`] when the delta names a vertex
-    /// `>= num_vertices()`.
+    /// `>= num_vertices()`; [`GraphError::InvalidParameter`] when the
+    /// result would pass `u32::MAX` directed entries.
     pub fn apply_delta_with(
         &self,
         delta: &GraphDelta,
@@ -213,12 +214,7 @@ impl Graph {
             })
             .count();
         let new_directed = self.adj.len() + 2 * real_ins - 2 * real_del;
-        if self.offsets.is_wide() || new_directed > u32::MAX as usize {
-            // Wide representation (or a merge that would overflow the
-            // packed one): rebuild from scratch so the builder makes the
-            // same width decision it would make cold.
-            return Ok(self.rebuild_with_delta(&ins, &del, exec));
-        }
+        check_directed(new_directed)?;
 
         // Directed forms of the delta, sorted by (owner, neighbor): the
         // per-vertex op slices the merge consumes are contiguous runs.
@@ -247,11 +243,7 @@ impl Graph {
         // arrays come from the arena at their exact size — with
         // `Graph::recycle` feeding the predecessor back, a repeated delta
         // allocates no fresh bytes.
-        let (OffsetArray::U32(old_off), OffsetArray::U32(old_fwd)) =
-            (&self.offsets, &self.fwd_offsets)
-        else {
-            unreachable!("wide offsets took the rebuild path");
-        };
+        let (old_off, old_fwd) = (&self.offsets, &self.fwd_offsets);
         let mut offsets = exec.take_u32(n + 1);
         let mut fwd_offsets = exec.take_u32(n + 1);
         let mut adj = exec.take_u32(new_directed);
@@ -332,44 +324,10 @@ impl Graph {
         debug_assert_eq!(adj.len(), new_directed);
         Ok(Graph {
             n,
-            offsets: OffsetArray::U32(offsets),
+            offsets,
             adj,
-            fwd_offsets: OffsetArray::U32(fwd_offsets),
+            fwd_offsets,
         })
-    }
-
-    /// The fallback: materialize the mutated canonical edge list and run
-    /// the ordinary from-scratch build (which independently decides
-    /// offset width, exactly as it would cold).
-    fn rebuild_with_delta(&self, ins: &[u64], del: &[u64], exec: &ExecutorConfig) -> Graph {
-        let mut merged = exec.take_u64(self.num_edges() + ins.len());
-        let mut ai = 0usize;
-        let mut ki = 0usize;
-        for u in 0..self.n as VertexId {
-            for &w in self.forward_neighbors(u) {
-                let p = ((u as u64) << 32) | w as u64;
-                while ai < ins.len() && ins[ai] < p {
-                    merged.push(ins[ai]);
-                    ai += 1;
-                }
-                if ai < ins.len() && ins[ai] == p {
-                    ai += 1; // already present
-                }
-                while ki < del.len() && del[ki] < p {
-                    ki += 1;
-                }
-                if ki < del.len() && del[ki] == p {
-                    ki += 1;
-                    continue; // deleted
-                }
-                merged.push(p);
-            }
-        }
-        merged.extend_from_slice(&ins[ai..]);
-        let mut b = GraphBuilder::with_capacity_in(self.n, merged.len(), exec);
-        b.extend_packed(&merged);
-        exec.recycle_u64(merged);
-        b.build_with(exec)
     }
 
     /// Recycles this graph's CSR arrays into the executor's scratch
@@ -379,12 +337,8 @@ impl Graph {
     /// draws from, so a session's update loop stops allocating.
     pub fn recycle(self, exec: &ExecutorConfig) {
         exec.recycle_u32(self.adj);
-        if let OffsetArray::U32(v) = self.offsets {
-            exec.recycle_u32(v);
-        }
-        if let OffsetArray::U32(v) = self.fwd_offsets {
-            exec.recycle_u32(v);
-        }
+        exec.recycle_u32(self.offsets);
+        exec.recycle_u32(self.fwd_offsets);
     }
 }
 
@@ -392,7 +346,7 @@ impl Graph {
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::graph::BUILD_VERTEX_CHUNK;
+    use crate::graph::{GraphBuilder, BUILD_VERTEX_CHUNK};
 
     /// From-scratch reference: the mutated edge list through the
     /// ordinary builder.
@@ -428,7 +382,6 @@ mod tests {
         ] {
             let merged = g.apply_delta_with(&delta, &exec).unwrap();
             assert_eq!(merged, reference(&g, &delta, &exec));
-            assert!(!merged.csr_offsets().is_wide());
         }
     }
 
@@ -538,25 +491,6 @@ mod tests {
     fn empty_delta_is_identity() {
         let g = generators::gnp(64, 0.1, 11).unwrap();
         assert_eq!(g.apply_delta(&GraphDelta::new()).unwrap(), g);
-    }
-
-    #[test]
-    fn wide_graphs_take_the_rebuild_path() {
-        let mut b = GraphBuilder::new(6);
-        b.force_wide_offsets();
-        for (u, v) in [(0, 1), (1, 2), (2, 3)] {
-            b.add_edge(u, v).unwrap();
-        }
-        let g = b.build();
-        assert!(g.csr_offsets().is_wide());
-        let mut delta = GraphDelta::new();
-        delta.insert_edge(3, 4).unwrap();
-        delta.delete_edge(0, 1).unwrap();
-        let merged = g.apply_delta(&delta).unwrap();
-        assert!(merged.has_edge(3, 4));
-        assert!(!merged.has_edge(0, 1));
-        // The fallback builds cold, which picks the narrow width.
-        assert!(!merged.csr_offsets().is_wide());
     }
 
     #[test]

@@ -223,7 +223,7 @@ pub fn gnp_with(n: usize, p: f64, seed: u64, exec: &ExecutorConfig) -> Result<Gr
             out
         });
         for chunk in chunks {
-            b.extend_packed(&chunk);
+            b.extend_packed(&chunk)?;
             exec.recycle_u64(chunk);
         }
     }
@@ -345,7 +345,7 @@ pub fn gnm_with(n: usize, m: usize, seed: u64, exec: &ExecutorConfig) -> Result<
                 let (u, v) = pair_from_index(n as u64, k);
                 packed.push(((u as u64) << 32) | v as u64);
             }
-            b.extend_packed(&packed);
+            b.extend_packed(&packed)?;
             exec.recycle_u64(packed);
             exec.recycle_u64(chosen);
         }
@@ -450,7 +450,7 @@ pub fn bipartite_gnp_with(
             out
         });
         for chunk in chunks {
-            b.extend_packed(&chunk);
+            b.extend_packed(&chunk)?;
             exec.recycle_u64(chunk);
         }
     }
@@ -1076,7 +1076,7 @@ pub fn random_geometric_with(
         out
     });
     for chunk in scan {
-        b.extend_packed(&chunk);
+        b.extend_packed(&chunk)?;
         exec.recycle_u64(chunk);
     }
     exec.recycle_u32(grid_off);

@@ -17,12 +17,12 @@
 //! * `fwd_offsets` — `n + 1` entries of *forward-edge* prefix sums:
 //!   `fwd_offsets[v]` counts canonical edges `{a, b}`, `a < b`, with `a < v`.
 //!
-//! Both offset arrays are **u32-packed** ([`OffsetArray`]): their values
-//! are bounded by `2m` directed edges, so until a graph exceeds 2³²
-//! directed edges they fit in half the memory (and half the cache lines)
-//! of the historical `Vec<usize>` layout. The checked u64 fallback above
-//! that bound is behaviourally identical — [`PartialEq`] on [`Graph`] and
-//! [`OffsetArray`] compares logical values, never representation width.
+//! Both offset arrays are `Vec<u32>`: their values are bounded by the
+//! `2m` directed entries of `adj`, and the builder and the delta merge
+//! refuse, with [`GraphError::InvalidParameter`], any graph of more than
+//! `u32::MAX` directed entries. Every graph this workspace can hold in
+//! memory fits, at half the bytes (and half the cache lines) of a
+//! `Vec<usize>` layout.
 //!
 //! The canonical sorted edge list (`u < v`, lexicographic) is **not** stored.
 //! [`Graph::edges`] returns an [`EdgesView`] that derives it on demand from
@@ -34,9 +34,10 @@
 //! representation carried next to the `16m`-byte CSR.
 //!
 //! Construction goes through [`GraphBuilder`], which validates endpoints,
-//! rejects self-loops, and deduplicates parallel edges. Large builds run a
-//! two-pass counting-sort CSR construction (degree count → prefix offsets →
-//! scatter, then per-vertex sort + dedup in place) chunked over an
+//! rejects self-loops, and deduplicates parallel edges. Its one assembler
+//! is a counting sort over fixed vertex ranges (degree count → prefix
+//! offsets → scatter, then per-vertex sort + dedup in place) that writes
+//! each range straight into its slab of the final `adj`, chunked over an
 //! [`ExecutorConfig`]; because every vertex's neighbor list is normalized by
 //! the final sort + dedup, the result is byte-identical for `Sequential` and
 //! `Threaded{k}` executors, every `k` — the substrate layer's determinism
@@ -47,132 +48,6 @@ use mmvc_substrate::{ExecutorConfig, ScratchPool};
 
 /// Identifier of a vertex: a dense index in `0..n`.
 pub type VertexId = u32;
-
-/// A CSR offset (prefix-sum) array, u32-packed with a checked u64
-/// fallback.
-///
-/// Offset values are bounded by the number of *directed* edges (`2m`),
-/// so almost every graph this workspace can hold fits the `U32` variant —
-/// half the bytes and cache traffic of the historical `Vec<usize>`. The
-/// `U64` variant exists for graphs beyond 2³² directed edges (and for the
-/// fallback tests that force it). Equality is *logical*: a `U32` and a
-/// `U64` array holding the same values compare equal, as do comparisons
-/// against `&[usize]` references — representation width is an
-/// implementation detail, never part of graph identity.
-#[derive(Debug, Clone)]
-pub enum OffsetArray {
-    /// Packed offsets: every value `< 2³²`.
-    U32(Vec<u32>),
-    /// Wide offsets for graphs beyond 2³² directed edges.
-    U64(Vec<u64>),
-}
-
-impl OffsetArray {
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        match self {
-            OffsetArray::U32(v) => v.len(),
-            OffsetArray::U64(v) => v.len(),
-        }
-    }
-
-    /// Whether the array has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `i`-th offset as a `usize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> usize {
-        match self {
-            OffsetArray::U32(v) => v[i] as usize,
-            OffsetArray::U64(v) => v[i] as usize,
-        }
-    }
-
-    /// The adjacent pair `(get(i), get(i + 1))` — one representation
-    /// branch instead of two for the ubiquitous slice-bounds lookup.
-    #[inline]
-    pub fn pair(&self, i: usize) -> (usize, usize) {
-        match self {
-            OffsetArray::U32(v) => (v[i] as usize, v[i + 1] as usize),
-            OffsetArray::U64(v) => (v[i] as usize, v[i + 1] as usize),
-        }
-    }
-
-    /// The last offset (the total the prefix sums run to).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array is empty.
-    pub fn last(&self) -> usize {
-        match self {
-            OffsetArray::U32(v) => *v.last().expect("offsets never empty") as usize,
-            OffsetArray::U64(v) => *v.last().expect("offsets never empty") as usize,
-        }
-    }
-
-    /// `true` for the u64 fallback representation.
-    pub fn is_wide(&self) -> bool {
-        matches!(self, OffsetArray::U64(_))
-    }
-
-    /// Resident bytes of the backing array.
-    pub fn byte_len(&self) -> usize {
-        match self {
-            OffsetArray::U32(v) => v.len() * 4,
-            OffsetArray::U64(v) => v.len() * 8,
-        }
-    }
-
-    /// Iterator over the offsets as `usize` values.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// Number of leading entries `<= x` (the array is non-decreasing);
-    /// the `partition_point` the edge view's owner lookup runs on.
-    pub(crate) fn partition_point_le(&self, x: usize) -> usize {
-        match self {
-            OffsetArray::U32(v) => v.partition_point(|&o| o as usize <= x),
-            OffsetArray::U64(v) => v.partition_point(|&o| o as usize <= x),
-        }
-    }
-
-    /// Packs a `usize` prefix-sum vector, narrow unless `wide` is forced.
-    fn pack(values: &[usize], wide: bool) -> Self {
-        let fits = values.last().is_none_or(|&t| t <= u32::MAX as usize);
-        if fits && !wide {
-            OffsetArray::U32(values.iter().map(|&x| x as u32).collect())
-        } else {
-            OffsetArray::U64(values.iter().map(|&x| x as u64).collect())
-        }
-    }
-}
-
-impl PartialEq for OffsetArray {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl Eq for OffsetArray {}
-
-impl PartialEq<[usize]> for OffsetArray {
-    fn eq(&self, other: &[usize]) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, &b)| a == b)
-    }
-}
-
-impl PartialEq<&[usize]> for OffsetArray {
-    fn eq(&self, other: &&[usize]) -> bool {
-        self == *other
-    }
-}
 
 /// An undirected edge, canonically stored with `u() <= v()`.
 ///
@@ -255,17 +130,17 @@ impl Edge {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
     pub(crate) n: usize,
-    /// CSR offsets (u32-packed): neighbors of `v` live at
-    /// `adj[offsets.get(v)..offsets.get(v+1)]`.
-    pub(crate) offsets: OffsetArray,
+    /// CSR offsets: neighbors of `v` live at
+    /// `adj[offsets[v]..offsets[v+1]]`.
+    pub(crate) offsets: Vec<u32>,
     /// Flat, per-vertex-sorted neighbor array (each undirected edge appears
     /// twice).
     pub(crate) adj: Vec<VertexId>,
-    /// Forward-edge prefix sums (u32-packed): `fwd_offsets[v]` counts
+    /// Forward-edge prefix sums: `fwd_offsets[v]` counts
     /// canonical edges `{a, b}` with `a < b` and `a < v`; `fwd_offsets[n]`
     /// is `|E|`. This is what lets [`EdgesView`] derive the canonical edge
     /// list from the CSR arrays instead of owning a second copy.
-    pub(crate) fwd_offsets: OffsetArray,
+    pub(crate) fwd_offsets: Vec<u32>,
 }
 
 impl Graph {
@@ -300,7 +175,7 @@ impl Graph {
 
     /// Number of undirected edges `|E|`.
     pub fn num_edges(&self) -> usize {
-        self.fwd_offsets.last()
+        self.fwd_offsets[self.n] as usize
     }
 
     /// Returns `true` if the graph has no edges.
@@ -331,7 +206,7 @@ impl Graph {
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
         assert!(v < self.n, "vertex {v} out of range (n = {})", self.n);
-        let (s, e) = self.offsets.pair(v);
+        let (s, e) = self.row(v);
         &self.adj[s..e]
     }
 
@@ -345,16 +220,21 @@ impl Graph {
     pub fn forward_neighbors(&self, v: VertexId) -> &[VertexId] {
         let v = v as usize;
         assert!(v < self.n, "vertex {v} out of range (n = {})", self.n);
-        let (fs, fe) = self.fwd_offsets.pair(v);
-        let end = self.offsets.get(v + 1);
-        &self.adj[end - (fe - fs)..end]
+        let fwd = (self.fwd_offsets[v + 1] - self.fwd_offsets[v]) as usize;
+        let end = self.offsets[v + 1] as usize;
+        &self.adj[end - fwd..end]
     }
 
-    /// The raw CSR offset array (`n + 1` entries, u32-packed — see
-    /// [`OffsetArray`]). Together with
+    /// The bounds `(offsets[v], offsets[v + 1])` of `v`'s row in `adj`.
+    #[inline]
+    fn row(&self, v: usize) -> (usize, usize) {
+        (self.offsets[v] as usize, self.offsets[v + 1] as usize)
+    }
+
+    /// The raw CSR offset array (`n + 1` entries). Together with
     /// [`csr_adjacency`](Self::csr_adjacency) this is the whole graph;
     /// exposed for zero-copy consumers and the builder-equivalence tests.
-    pub fn csr_offsets(&self) -> &OffsetArray {
+    pub fn csr_offsets(&self) -> &[u32] {
         &self.offsets
     }
 
@@ -366,9 +246,7 @@ impl Graph {
     /// Resident bytes of the CSR representation (the arrays; excludes the
     /// struct header). The figure `bench_scale` reports as graph memory.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.byte_len()
-            + self.fwd_offsets.byte_len()
-            + self.adj.len() * std::mem::size_of::<VertexId>()
+        (self.offsets.len() + self.fwd_offsets.len() + self.adj.len()) * std::mem::size_of::<u32>()
     }
 
     /// Degree of `v`.
@@ -384,7 +262,7 @@ impl Graph {
     pub fn max_degree(&self) -> usize {
         (0..self.n)
             .map(|v| {
-                let (s, e) = self.offsets.pair(v);
+                let (s, e) = self.row(v);
                 e - s
             })
             .max()
@@ -434,37 +312,6 @@ impl Graph {
             .map(|e| (e.u(), e.v()))
             .collect();
         Graph::from_edges(self.n, edges).expect("edges of a valid graph remain valid")
-    }
-
-    /// Returns the subgraph induced on the given vertex set, **relabelled**
-    /// to dense ids `0..keep.len()`, together with the mapping
-    /// `local -> original`.
-    ///
-    /// Used by the MPC simulations when shipping an induced subgraph to a
-    /// single machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vertices` contains an out-of-range or duplicate id.
-    pub fn induced_subgraph(&self, vertices: &[VertexId]) -> (Graph, Vec<VertexId>) {
-        let mut local_of = vec![u32::MAX; self.n];
-        for (i, &v) in vertices.iter().enumerate() {
-            assert!((v as usize) < self.n, "vertex {v} out of range");
-            assert!(local_of[v as usize] == u32::MAX, "duplicate vertex {v}");
-            local_of[v as usize] = i as u32;
-        }
-        let mut edges = Vec::new();
-        for &v in vertices {
-            let lv = local_of[v as usize];
-            for &w in self.neighbors(v) {
-                let lw = local_of[w as usize];
-                if lw != u32::MAX && lv < lw {
-                    edges.push((lv, lw));
-                }
-            }
-        }
-        let g = Graph::from_edges(vertices.len(), edges).expect("relabelled edges are valid");
-        (g, vertices.to_vec())
     }
 
     /// The line graph `L(G)`: one vertex per edge of `G`, with two vertices
@@ -599,7 +446,7 @@ impl<'g> EdgesView<'g> {
         );
         let u = self.owner_of(i);
         let fwd = self.g.forward_neighbors(u as VertexId);
-        let v = fwd[i - self.g.fwd_offsets.get(u)];
+        let v = fwd[i - self.g.fwd_offsets[u] as usize];
         Edge {
             u: u as VertexId,
             v,
@@ -617,7 +464,7 @@ impl<'g> EdgesView<'g> {
         let fwd = self.g.forward_neighbors(e.u());
         fwd.binary_search(&e.v())
             .ok()
-            .map(|k| self.g.fwd_offsets.get(u) + k)
+            .map(|k| self.g.fwd_offsets[u] as usize + k)
     }
 
     /// Iterator over all canonical edges, in lexicographic order.
@@ -658,7 +505,7 @@ impl<'g> EdgesView<'g> {
 
     /// The smaller endpoint of the `i`-th canonical edge (`i < len()`).
     fn owner_of(&self, i: usize) -> usize {
-        self.g.fwd_offsets.partition_point_le(i) - 1
+        self.g.fwd_offsets.partition_point(|&o| o as usize <= i) - 1
     }
 }
 
@@ -701,12 +548,15 @@ impl Iterator for EdgeIter<'_> {
             return None;
         }
         // Advance past vertices whose forward edges are exhausted.
-        while self.g.fwd_offsets.get(self.u + 1) <= self.next {
+        while self.g.fwd_offsets[self.u + 1] as usize <= self.next {
             self.u += 1;
         }
         let u = self.u;
-        let (fs, fe) = self.g.fwd_offsets.pair(u);
-        let pos = self.g.offsets.get(u + 1) - (fe - fs) + (self.next - fs);
+        let (fs, fe) = (
+            self.g.fwd_offsets[u] as usize,
+            self.g.fwd_offsets[u + 1] as usize,
+        );
+        let pos = self.g.offsets[u + 1] as usize - (fe - fs) + (self.next - fs);
         self.next += 1;
         Some(Edge {
             u: u as VertexId,
@@ -723,20 +573,19 @@ impl Iterator for EdgeIter<'_> {
 impl ExactSizeIterator for EdgeIter<'_> {}
 impl std::iter::FusedIterator for EdgeIter<'_> {}
 
-/// Staged edge counts below this build on the single-threaded path — the
-/// chunked machinery costs more than a tiny build saves.
+/// Staged edge counts below this assemble on the calling thread, whatever
+/// the executor — spawning costs more than a build this small saves.
 const PAR_BUILD_THRESHOLD: usize = 1 << 15;
 
-/// Staged edges per bucketing task in the chunked build (pass 1). Fixed —
+/// Staged edges per bucketing task in the assembler's first pass. Fixed —
 /// never a function of the thread count — per the determinism contract.
 /// Raised from 2¹⁶ in PR 6: fewer, larger tasks cut per-task overhead,
 /// which is what made threaded builds slower than sequential on the
 /// 1-core CI host.
 const BUILD_EDGE_CHUNK: usize = 1 << 17;
 
-/// Vertices per scatter task in the chunked build (pass 2). Fixed, as
-/// above. The delta-merge rebuild ([`Graph::apply_delta_with`]) reuses
-/// the same granularity so its range boundaries match the builder's.
+/// Vertices per range, the assembler's unit of parallel work. Fixed, as
+/// above.
 pub(crate) const BUILD_VERTEX_CHUNK: usize = 1 << 15;
 
 /// Packs a canonical edge as `(u << 32) | v`. Lexicographic edge order
@@ -747,12 +596,30 @@ pub(crate) fn pack_edge(e: Edge) -> u64 {
     ((e.u as u64) << 32) | e.v as u64
 }
 
+/// The one guard on `u32` offsets: refuses a CSR of more than `u32::MAX`
+/// directed entries. The builder asks it about twice its staged edge
+/// count, duplicates included, and the delta merge about the merged
+/// `adj` length.
+pub(crate) fn check_directed(directed: usize) -> Result<(), GraphError> {
+    if directed <= u32::MAX as usize {
+        return Ok(());
+    }
+    Err(GraphError::InvalidParameter {
+        name: "m",
+        message: format!(
+            "{directed} directed edge entries exceed the {} that u32 CSR offsets can index",
+            u32::MAX
+        ),
+    })
+}
+
 /// Incremental builder for [`Graph`].
 ///
 /// Deduplicates edges and validates endpoints. See [`Graph`] for an example.
 ///
 /// [`build`](Self::build) finalizes on a default (threaded) executor;
 /// [`build_with`](Self::build_with) takes an explicit [`ExecutorConfig`].
+/// Below 2¹⁵ staged edges both run on the calling thread.
 /// Either way the resulting graph is byte-identical — construction is
 /// normalized by a per-vertex sort + dedup, so thread count can never leak
 /// into the CSR arrays.
@@ -762,7 +629,8 @@ pub(crate) fn pack_edge(e: Edge) -> u64 {
 /// [`ScratchPool`] — see
 /// [`with_capacity_in`](Self::with_capacity_in). A warm pool makes
 /// repeated builds allocate essentially nothing beyond the final CSR
-/// arrays.
+/// arrays. Staging more than `u32::MAX / 2` edges, duplicates included,
+/// is refused: the offsets are `u32`.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     n: usize,
@@ -771,8 +639,6 @@ pub struct GraphBuilder {
     /// Arena the staging buffer came from (and returns to after the
     /// build), when the builder was created via `with_capacity_in`.
     pool: Option<ScratchPool>,
-    /// Test knob: force the u64 offset fallback regardless of size.
-    force_wide: bool,
 }
 
 impl GraphBuilder {
@@ -782,7 +648,6 @@ impl GraphBuilder {
             n,
             edges: Vec::new(),
             pool: None,
-            force_wide: false,
         }
     }
 
@@ -794,7 +659,6 @@ impl GraphBuilder {
             n,
             edges: Vec::with_capacity(m),
             pool: None,
-            force_wide: false,
         }
     }
 
@@ -807,28 +671,12 @@ impl GraphBuilder {
             n,
             edges: exec.take_u64(m),
             pool: exec.scratch().cloned(),
-            force_wide: false,
         }
-    }
-
-    /// Forces the u64 offset fallback the builder would normally reserve
-    /// for graphs beyond 2³² directed edges. The resulting graph is
-    /// logically identical to the packed build — this knob exists so the
-    /// fallback path is testable without staging 2³² edges.
-    #[doc(hidden)]
-    pub fn force_wide_offsets(&mut self) -> &mut Self {
-        self.force_wide = true;
-        self
     }
 
     /// Number of vertices this builder was created with.
     pub fn num_vertices(&self) -> usize {
         self.n
-    }
-
-    /// Number of staged (raw, not yet deduplicated) edges.
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
     }
 
     /// Adds the undirected edge `{u, v}`.
@@ -839,6 +687,8 @@ impl GraphBuilder {
     ///
     /// * [`GraphError::VertexOutOfRange`] if an endpoint is `>= n`.
     /// * [`GraphError::SelfLoop`] if `u == v`.
+    /// * [`GraphError::InvalidParameter`] if `u32::MAX / 2` edges are
+    ///   already staged.
     pub fn add_edge(&mut self, u: VertexId, v: VertexId) -> Result<&mut Self, GraphError> {
         if u as usize >= self.n {
             return Err(GraphError::VertexOutOfRange {
@@ -855,7 +705,7 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });
         }
-        self.edges.push(pack_edge(Edge::new(u, v)));
+        self.stage(pack_edge(Edge::new(u, v)))?;
         Ok(self)
     }
 
@@ -865,8 +715,9 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// [`GraphError::VertexOutOfRange`] on the first out-of-range endpoint
-    /// (edges before it stay staged).
+    /// [`GraphError::VertexOutOfRange`] on the first out-of-range endpoint,
+    /// or [`GraphError::InvalidParameter`] on the first edge past
+    /// `u32::MAX / 2` staged (edges before either stay staged).
     pub fn extend_edges<I>(&mut self, edges: I) -> Result<&mut Self, GraphError>
     where
         I: IntoIterator<Item = Edge>,
@@ -878,7 +729,7 @@ impl GraphBuilder {
                     n: self.n,
                 });
             }
-            self.edges.push(pack_edge(e));
+            self.stage(pack_edge(e))?;
         }
         Ok(self)
     }
@@ -886,26 +737,37 @@ impl GraphBuilder {
     /// Bulk-stages pre-packed canonical edges (`(u << 32) | v`, `u < v`,
     /// `v < n`) — the generators' pooled fast path. Invariants are the
     /// caller's responsibility; debug builds audit them.
-    pub(crate) fn extend_packed(&mut self, packed: &[u64]) {
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidParameter`] if the staged total would pass
+    /// `u32::MAX / 2` edges (nothing is staged then).
+    pub(crate) fn extend_packed(&mut self, packed: &[u64]) -> Result<(), GraphError> {
         debug_assert!(packed.iter().all(|&p| {
             let (u, v) = ((p >> 32) as u32, p as u32);
             u < v && (v as usize) < self.n
         }));
+        check_directed(2 * (self.edges.len() + packed.len()))?;
         self.edges.extend_from_slice(packed);
+        Ok(())
     }
 
-    /// Finalizes into an immutable [`Graph`] on a default executor,
-    /// deduplicating edges and building the CSR arrays.
-    ///
-    /// Small builds (< 2¹⁵ staged edges) take a single-threaded path with
-    /// zero executor involvement; larger builds delegate to
-    /// [`build_with`](Self::build_with) on [`ExecutorConfig::default`].
+    /// Stages one packed edge, unless it would pass the `u32` offset bound.
+    #[inline]
+    fn stage(&mut self, p: u64) -> Result<(), GraphError> {
+        check_directed(2 * (self.edges.len() + 1))?;
+        self.edges.push(p);
+        Ok(())
+    }
+
+    /// Finalizes into an immutable [`Graph`], deduplicating edges and
+    /// building the CSR arrays: on the calling thread below 2¹⁵ staged
+    /// edges, otherwise on [`ExecutorConfig::default`].
     pub fn build(self) -> Graph {
         if self.edges.len() < PAR_BUILD_THRESHOLD {
-            return self.build_small();
+            return self.assemble(&ExecutorConfig::sequential());
         }
-        let exec = ExecutorConfig::default();
-        self.build_chunked(&exec)
+        self.assemble(&ExecutorConfig::default())
     }
 
     /// Finalizes on an explicit executor. `Sequential` and `Threaded{k}`
@@ -919,349 +781,226 @@ impl GraphBuilder {
             .span("csr.build")
             .with_arg("n", self.n as u64)
             .with_arg("staged_edges", self.edges.len() as u64);
-        if self.edges.len() < PAR_BUILD_THRESHOLD {
-            return self.build_small();
-        }
-        self.build_chunked(exec)
+        self.assemble(exec)
     }
 
-    /// Single-threaded build: global sort + dedup of the staged edges, then
-    /// counting-sort scatter. The historical code path, kept for tiny
-    /// graphs where it beats the chunked machinery.
-    fn build_small(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let n = self.n;
-        let mut degree = vec![0usize; n];
-        let mut fwd_offsets = vec![0usize; n + 1];
-        for &p in &self.edges {
-            let (u, v) = ((p >> 32) as usize, (p as u32) as usize);
-            degree[u] += 1;
-            degree[v] += 1;
-            fwd_offsets[u + 1] += 1;
-        }
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degree[v];
-            fwd_offsets[v + 1] += fwd_offsets[v];
-        }
-        let mut adj = vec![0 as VertexId; 2 * self.edges.len()];
-        let mut cursor = offsets.clone();
-        for &p in &self.edges {
-            let (u, v) = ((p >> 32) as usize, (p as u32) as usize);
-            adj[cursor[u]] = v as VertexId;
-            cursor[u] += 1;
-            adj[cursor[v]] = u as VertexId;
-            cursor[v] += 1;
-        }
-        // Neighbor lists are sorted because edges were processed in sorted
-        // order for `u`, but for `v` sides we must sort explicitly.
-        for v in 0..n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-        if let Some(pool) = &self.pool {
-            pool.recycle_u64(std::mem::take(&mut self.edges));
-        }
-        let wide = self.force_wide;
-        Graph {
-            n,
-            offsets: OffsetArray::pack(&offsets, wide),
-            adj,
-            fwd_offsets: OffsetArray::pack(&fwd_offsets, wide),
-        }
-    }
-
-    /// Two-pass chunked counting-sort build, u32-packed and arena-backed.
+    /// The assembler: a counting sort over fixed vertex ranges that writes
+    /// each range straight into its slab of the final `adj`.
     ///
-    /// Pass 1 counting-sorts both directions of every staged edge by the
-    /// owning vertex range, each fixed-size edge chunk writing its own
-    /// disjoint slab of **one** flat (pooled) directed-pair buffer — a
-    /// per-range cursor array makes every store sequential within its
-    /// range segment instead of a random per-edge scatter. Pass 2, one
-    /// task per fixed-size vertex range, walks the per-chunk segments of
-    /// its range and runs the counting sort proper: degree count → prefix
-    /// offsets → scatter, then per-vertex sort + dedup *in place* and
-    /// forward-degree counting — all counters, offsets and cursors `u32`.
-    /// The main thread concatenates the per-range outputs in range order
-    /// and recycles every working buffer into the arena.
+    /// 1. When `n` spans more than one range, each fixed-size chunk of the
+    ///    staged edges buckets both directions of its edges by the owner's
+    ///    range into its own slab of one flat (pooled) buffer, with a
+    ///    per-range cursor so every store is sequential within its range
+    ///    segment. A single range skips this pass.
+    /// 2. One task per range reads its directed pairs — its bucket
+    ///    segments, or with one range the staged pairs themselves — and
+    ///    counts degrees (duplicates included), scatters the neighbours
+    ///    into its slab of `adj`, then sorts and dedups each row in place.
+    ///    `adj` is one fresh zeroed allocation of `2 × staged` entries, at
+    ///    slab bounds taken from pass 1's counts; the scatter faults its
+    ///    pages in either way.
+    /// 3. One sequential pass writes both offset arrays from the ranges'
+    ///    row bounds and forward counts, and closes the gaps duplicates
+    ///    left with `copy_within` (without duplicates it moves nothing;
+    ///    when it moved something, `adj` is shrunk to fit).
     ///
-    /// Builds that could overflow the u32 counters (beyond 2³² directed
-    /// edges) — or that request it via the test knob — take the checked
-    /// u64 fallback, which produces a logically identical graph.
+    /// Below [`PAR_BUILD_THRESHOLD`] staged edges every pass runs on the
+    /// calling thread. The staging buffer goes back to the arena it was
+    /// taken from, and only to it.
     ///
     /// Determinism: chunk and range boundaries depend only on the input
-    /// (never the thread count), slab and result slots are task-indexed,
-    /// and the per-vertex sort + dedup normalizes any scatter-order
-    /// variation — so the output is byte-identical across executors.
-    fn build_chunked(self, exec: &ExecutorConfig) -> Graph {
-        if self.force_wide || 2 * self.edges.len() > u32::MAX as usize {
-            return self.build_chunked_wide(exec);
-        }
-        let n = self.n;
-        let pool = self.pool;
-        let staged = self.edges;
-        let ranges = n.div_ceil(BUILD_VERTEX_CHUNK).max(1);
-        let chunks = staged.len().div_ceil(BUILD_EDGE_CHUNK);
-
-        // Pass 1: chunk `c` owns the slab `directed[2*lo(c)..2*hi(c)]` and
-        // counting-sorts its directed pairs `(owner << 32) | neighbor` by
-        // the owner's vertex range. Returns the per-chunk range offsets
-        // (within the slab) that pass 2 uses to locate each segment.
-        let mut directed = exec.take_u64(2 * staged.len());
-        directed.resize(2 * staged.len(), 0);
-        let slab_bounds: Vec<usize> = (0..=chunks)
-            .map(|c| 2 * (c * BUILD_EDGE_CHUNK).min(staged.len()))
-            .collect();
-        let chunk_offs: Vec<Vec<u32>> = {
-            let staged = &staged;
-            exec.run_slabs(&mut directed, &slab_bounds, |c, slab| {
-                let lo = c * BUILD_EDGE_CHUNK;
-                let hi = (lo + BUILD_EDGE_CHUNK).min(staged.len());
-                let mut counts = exec.take_u32(ranges + 1);
-                counts.resize(ranges + 1, 0);
-                for &p in &staged[lo..hi] {
-                    counts[(p >> 32) as usize / BUILD_VERTEX_CHUNK + 1] += 1;
-                    counts[(p as u32) as usize / BUILD_VERTEX_CHUNK + 1] += 1;
-                }
-                for i in 0..ranges {
-                    counts[i + 1] += counts[i];
-                }
-                let mut cursor = exec.take_u32(ranges);
-                cursor.extend_from_slice(&counts[..ranges]);
-                for &p in &staged[lo..hi] {
-                    let (u, v) = (p >> 32, (p as u32) as u64);
-                    let ru = u as usize / BUILD_VERTEX_CHUNK;
-                    slab[cursor[ru] as usize] = p;
-                    cursor[ru] += 1;
-                    let rv = v as usize / BUILD_VERTEX_CHUNK;
-                    slab[cursor[rv] as usize] = (v << 32) | u;
-                    cursor[rv] += 1;
-                }
-                exec.recycle_u32(cursor);
-                counts
-            })
-        };
-        // The flat buffer carries everything; recycle staging now to
-        // halve the transient peak.
-        if let Some(p) = exec.scratch().or(pool.as_ref()) {
-            p.recycle_u64(staged);
-        } else {
-            drop(staged);
-        }
-
-        // Pass 2: per vertex range, the counting sort proper over the
-        // range's segments of every chunk slab.
-        type RangePart = (Vec<u32>, Vec<u32>, Vec<u32>);
-        let parts: Vec<RangePart> = {
-            let directed = &directed;
-            let chunk_offs = &chunk_offs;
-            let slab_bounds = &slab_bounds;
-            let segs = move |r: usize| {
-                (0..chunks).map(move |c| {
-                    let sb = slab_bounds[c];
-                    let off = &chunk_offs[c];
-                    &directed[sb + off[r] as usize..sb + off[r + 1] as usize]
-                })
+    /// (never the thread count), results are indexed by range, and the
+    /// per-vertex sort + dedup normalizes any scatter-order variation —
+    /// so the output is byte-identical across executors.
+    fn assemble(self, exec: &ExecutorConfig) -> Graph {
+        let GraphBuilder {
+            n,
+            edges: staged,
+            pool,
+        } = self;
+        let local;
+        let exec = if staged.len() < PAR_BUILD_THRESHOLD {
+            local = match exec.scratch() {
+                Some(p) => ExecutorConfig::sequential().with_scratch(p),
+                None => ExecutorConfig::sequential(),
             };
-            exec.run(ranges, |r| {
-                let base = r * BUILD_VERTEX_CHUNK;
-                let size = BUILD_VERTEX_CHUNK.min(n - base);
-                // Degree count (duplicates included), then prefix offsets.
-                let mut bounds = exec.take_u32(size + 1);
-                bounds.resize(size + 1, 0);
-                for seg in segs(r) {
-                    for &p in seg {
-                        bounds[(p >> 32) as usize - base + 1] += 1;
+            &local
+        } else {
+            exec
+        };
+        let send_home = |staged: Vec<u64>| {
+            if let Some(p) = &pool {
+                p.recycle_u64(staged);
+            }
+        };
+        let ranges = n.div_ceil(BUILD_VERTEX_CHUNK).max(1);
+        let mut adj = vec![0 as VertexId; 2 * staged.len()];
+
+        let (parts, slab_bounds) = if ranges == 1 {
+            let pairs = || staged.iter().flat_map(|&p| [p, p.rotate_left(32)]);
+            let part = fill_range(exec, 0, n, &mut adj, pairs);
+            send_home(staged);
+            (vec![part], vec![0, adj.len()])
+        } else {
+            // Pass 1: chunk `c` owns `directed[chunk_bounds[c]..chunk_bounds[c + 1]]`
+            // and counting-sorts its directed pairs `(owner << 32) | neighbor`
+            // by the owner's range; its counts locate each range's segment.
+            let chunks = staged.len().div_ceil(BUILD_EDGE_CHUNK);
+            let mut directed = exec.take_u64(2 * staged.len());
+            directed.resize(2 * staged.len(), 0);
+            let chunk_bounds: Vec<usize> = (0..=chunks)
+                .map(|c| 2 * (c * BUILD_EDGE_CHUNK).min(staged.len()))
+                .collect();
+            let chunk_offs: Vec<Vec<u32>> =
+                exec.run_slabs(&mut directed, &chunk_bounds, |c, slab| {
+                    let lo = c * BUILD_EDGE_CHUNK;
+                    let hi = (lo + BUILD_EDGE_CHUNK).min(staged.len());
+                    let mut counts = exec.take_u32(ranges + 1);
+                    counts.resize(ranges + 1, 0);
+                    for &p in &staged[lo..hi] {
+                        counts[(p >> 32) as usize / BUILD_VERTEX_CHUNK + 1] += 1;
+                        counts[(p as u32) as usize / BUILD_VERTEX_CHUNK + 1] += 1;
                     }
-                }
-                for i in 0..size {
-                    bounds[i + 1] += bounds[i];
-                }
-                // Scatter neighbors into the per-vertex segments.
-                let total = bounds[size] as usize;
-                let mut buf = exec.take_u32(total);
-                buf.resize(total, 0);
-                let mut cursor = exec.take_u32(size);
-                cursor.extend_from_slice(&bounds[..size]);
-                for seg in segs(r) {
-                    for &p in seg {
-                        let lv = (p >> 32) as usize - base;
-                        buf[cursor[lv] as usize] = p as u32;
-                        cursor[lv] += 1;
+                    for i in 0..ranges {
+                        counts[i + 1] += counts[i];
                     }
-                }
-                exec.recycle_u32(cursor);
-                // Per-vertex sort + dedup in place, compacting
-                // front-to-back (the write cursor never overtakes the
-                // read cursor).
-                let mut deg = exec.take_u32(size);
-                deg.resize(size, 0);
-                let mut fwd = exec.take_u32(size);
-                fwd.resize(size, 0);
-                let mut w = 0usize;
-                for lv in 0..size {
-                    let (s, e) = (bounds[lv] as usize, bounds[lv + 1] as usize);
-                    buf[s..e].sort_unstable();
-                    let start_w = w;
-                    let mut prev = u32::MAX;
-                    for idx in s..e {
-                        let x = buf[idx];
-                        if x != prev {
-                            buf[w] = x;
-                            w += 1;
-                            prev = x;
+                    let mut cursor = exec.take_u32(ranges);
+                    cursor.extend_from_slice(&counts[..ranges]);
+                    for &p in &staged[lo..hi] {
+                        for q in [p, p.rotate_left(32)] {
+                            let r = (q >> 32) as usize / BUILD_VERTEX_CHUNK;
+                            slab[cursor[r] as usize] = q;
+                            cursor[r] += 1;
                         }
                     }
-                    deg[lv] = (w - start_w) as u32;
-                    let gv = (base + lv) as u32;
-                    fwd[lv] =
-                        ((w - start_w) - buf[start_w..w].partition_point(|&x| x <= gv)) as u32;
-                }
-                buf.truncate(w);
-                exec.recycle_u32(bounds);
-                (buf, deg, fwd)
-            })
-        };
-        exec.recycle_u64(directed);
-        for co in chunk_offs {
-            exec.recycle_u32(co);
-        }
+                    exec.recycle_u32(cursor);
+                    counts
+                });
+            // The flat buffer carries everything from here on.
+            send_home(staged);
 
-        // Assemble: concatenate per-range outputs in range order (the
-        // final CSR arrays are the product, not scratch — they are the
-        // only fresh allocations of a warm-pool build).
-        let total: usize = parts.iter().map(|(buf, _, _)| buf.len()).sum();
-        let mut offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut fwd_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut adj: Vec<VertexId> = Vec::with_capacity(total);
-        offsets.push(0);
-        fwd_offsets.push(0);
+            // Pass 2: range `r`'s pairs sit in one segment per chunk, and
+            // its slab of `adj` holds them all.
+            let segment = |c: usize, r: usize| {
+                let (cb, off) = (chunk_bounds[c], &chunk_offs[c]);
+                &directed[cb + off[r] as usize..cb + off[r + 1] as usize]
+            };
+            let mut slab_bounds = vec![0];
+            for r in 0..ranges {
+                let total: usize = (0..chunks).map(|c| segment(c, r).len()).sum();
+                slab_bounds.push(slab_bounds[r] + total);
+            }
+            let parts = exec.run_slabs(&mut adj, &slab_bounds, |r, slab| {
+                let base = r * BUILD_VERTEX_CHUNK;
+                let pairs = || (0..chunks).flat_map(move |c| segment(c, r)).copied();
+                fill_range(exec, base, BUILD_VERTEX_CHUNK.min(n - base), slab, pairs)
+            });
+            exec.recycle_u64(directed);
+            for off in chunk_offs {
+                exec.recycle_u32(off);
+            }
+            (parts, slab_bounds)
+        };
+
+        // Pass 3: offsets from the ranges' row bounds and forward counts;
+        // each range's compacted rows move down to where the previous
+        // range's rows end.
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut fwd_offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u32);
+        fwd_offsets.push(0u32);
         let (mut off, mut f) = (0u32, 0u32);
-        for (buf, deg, fwd) in &parts {
-            adj.extend_from_slice(buf);
-            for &d in deg {
-                off += d;
-                offsets.push(off);
-            }
-            for &c in fwd {
+        for ((rows, fwd), &lo) in parts.into_iter().zip(&slab_bounds) {
+            let start = off;
+            offsets.extend(rows[1..].iter().map(|&b| start + b));
+            off = start + rows[rows.len() - 1];
+            fwd_offsets.extend(fwd.iter().map(|&c| {
                 f += c;
-                fwd_offsets.push(f);
+                f
+            }));
+            if lo != start as usize {
+                adj.copy_within(lo..lo + (off - start) as usize, start as usize);
             }
-        }
-        for (buf, deg, fwd) in parts {
-            exec.recycle_u32(buf);
-            exec.recycle_u32(deg);
+            exec.recycle_u32(rows);
             exec.recycle_u32(fwd);
         }
-        Graph {
-            n,
-            offsets: OffsetArray::U32(offsets),
-            adj,
-            fwd_offsets: OffsetArray::U32(fwd_offsets),
-        }
-    }
-
-    /// The checked u64 fallback of [`build_chunked`](Self::build_chunked):
-    /// the historical per-chunk bucket-vector pipeline with `usize`
-    /// counters throughout, producing wide offset arrays. Taken when the
-    /// staged edge count could overflow the packed path's u32 counters
-    /// (beyond 2³² directed edges) or when forced by the test knob; the
-    /// resulting graph is logically identical to the packed build.
-    fn build_chunked_wide(self, exec: &ExecutorConfig) -> Graph {
-        let n = self.n;
-        let edges = self.edges;
-        let ranges = n.div_ceil(BUILD_VERTEX_CHUNK).max(1);
-
-        // Pass 1: bucket directed pairs `(owner << 32) | neighbor` by the
-        // owner's vertex range, one task per fixed-size edge chunk.
-        let buckets: Vec<Vec<Vec<u64>>> = exec.run_chunked(edges.len(), BUILD_EDGE_CHUNK, |r| {
-            let mut local: Vec<Vec<u64>> = vec![Vec::new(); ranges];
-            for &p in &edges[r] {
-                let (u, v) = (p >> 32, (p as u32) as u64);
-                local[u as usize / BUILD_VERTEX_CHUNK].push(p);
-                local[v as usize / BUILD_VERTEX_CHUNK].push((v << 32) | u);
-            }
-            local
-        });
-        drop(edges); // the buckets carry everything; halve transient peak
-
-        // Pass 2: per vertex range, the counting sort proper.
-        type RangePart = (Vec<VertexId>, Vec<u32>, Vec<u32>);
-        let parts: Vec<RangePart> = exec.run(ranges, |r| {
-            let base = r * BUILD_VERTEX_CHUNK;
-            let size = BUILD_VERTEX_CHUNK.min(n - base);
-            // Degree count (duplicates included), then prefix offsets.
-            let mut bounds = vec![0usize; size + 1];
-            for chunk in &buckets {
-                for &p in &chunk[r] {
-                    bounds[(p >> 32) as usize - base + 1] += 1;
-                }
-            }
-            for i in 0..size {
-                bounds[i + 1] += bounds[i];
-            }
-            // Scatter neighbors into the per-vertex segments.
-            let mut buf = vec![0 as VertexId; bounds[size]];
-            let mut cursor = bounds[..size].to_vec();
-            for chunk in &buckets {
-                for &p in &chunk[r] {
-                    let lv = (p >> 32) as usize - base;
-                    buf[cursor[lv]] = p as VertexId;
-                    cursor[lv] += 1;
-                }
-            }
-            // Per-vertex sort + dedup in place, compacting front-to-back
-            // (the write cursor never overtakes the read cursor).
-            let mut deg = vec![0u32; size];
-            let mut fwd = vec![0u32; size];
-            let mut w = 0usize;
-            for lv in 0..size {
-                let (s, e) = (bounds[lv], bounds[lv + 1]);
-                buf[s..e].sort_unstable();
-                let start_w = w;
-                let mut prev = VertexId::MAX;
-                for idx in s..e {
-                    let x = buf[idx];
-                    if x != prev {
-                        buf[w] = x;
-                        w += 1;
-                        prev = x;
-                    }
-                }
-                deg[lv] = (w - start_w) as u32;
-                let gv = (base + lv) as VertexId;
-                fwd[lv] = ((w - start_w) - buf[start_w..w].partition_point(|&x| x <= gv)) as u32;
-            }
-            buf.truncate(w);
-            (buf, deg, fwd)
-        });
-
-        // Assemble: concatenate per-range outputs in range order.
-        let total: usize = parts.iter().map(|(buf, _, _)| buf.len()).sum();
-        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        let mut fwd_offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(total);
-        offsets.push(0);
-        fwd_offsets.push(0);
-        let (mut off, mut f) = (0u64, 0u64);
-        for (buf, deg, fwd) in &parts {
-            adj.extend_from_slice(buf);
-            for &d in deg {
-                off += d as u64;
-                offsets.push(off);
-            }
-            for &c in fwd {
-                f += c as u64;
-                fwd_offsets.push(f);
-            }
+        if adj.len() != off as usize {
+            adj.truncate(off as usize);
+            adj.shrink_to_fit();
         }
         Graph {
             n,
-            offsets: OffsetArray::U64(offsets),
+            offsets,
             adj,
-            fwd_offsets: OffsetArray::U64(fwd_offsets),
+            fwd_offsets,
         }
     }
+}
+
+/// One range's share of the assembler, for vertices `base..base + size`:
+/// counts their degrees over `pairs()` (directed `(owner << 32) |
+/// neighbor` words, duplicates included), scatters the neighbors into
+/// `slab`, then sorts and dedups each row in place, compacting the rows
+/// to the front of `slab`. Returns, in buffers from the arena, the rows'
+/// bounds within `slab` after the dedup (`size + 1` entries from 0) and
+/// each vertex's forward count.
+fn fill_range<I, F>(
+    exec: &ExecutorConfig,
+    base: usize,
+    size: usize,
+    slab: &mut [VertexId],
+    pairs: F,
+) -> (Vec<u32>, Vec<u32>)
+where
+    F: Fn() -> I,
+    I: Iterator<Item = u64>,
+{
+    // Row `lv` is counted at `bounds[lv + 2]`, so after the prefix sum
+    // `bounds[lv + 1]` is its start: the scatter's cursor, which the
+    // scatter leaves at the row's end.
+    let mut bounds = exec.take_u32(size + 2);
+    bounds.resize(size + 2, 0);
+    pairs().for_each(|p| bounds[(p >> 32) as usize - base + 2] += 1);
+    for i in 2..size + 2 {
+        bounds[i] += bounds[i - 1];
+    }
+    pairs().for_each(|p| {
+        let cursor = &mut bounds[(p >> 32) as usize - base + 1];
+        slab[*cursor as usize] = p as VertexId;
+        *cursor += 1;
+    });
+    bounds.truncate(size + 1);
+    // Per-row sort + dedup, compacting front to back (the write cursor
+    // never overtakes the read cursor); `bounds` follows the rows down.
+    let mut fwd = exec.take_u32(size);
+    let (mut s, mut w) = (0usize, 0usize);
+    for lv in 0..size {
+        let e = bounds[lv + 1] as usize;
+        if s == e {
+            bounds[lv + 1] = w as u32;
+            fwd.push(0);
+            continue;
+        }
+        slab[s..e].sort_unstable();
+        let start = w;
+        let mut prev = slab[s];
+        slab[w] = prev;
+        w += 1;
+        for i in s + 1..e {
+            let x = slab[i];
+            if x != prev {
+                slab[w] = x;
+                w += 1;
+                prev = x;
+            }
+        }
+        let row = &slab[start..w];
+        let gv = (base + lv) as VertexId;
+        fwd.push((row.len() - row.partition_point(|&x| x <= gv)) as u32);
+        bounds[lv + 1] = w as u32;
+        s = e;
+    }
+    (bounds, fwd)
 }
 
 #[cfg(test)]
@@ -1421,55 +1160,11 @@ mod tests {
         let g = petersen();
         assert_eq!(g.csr_offsets().len(), 11);
         assert_eq!(g.csr_adjacency().len(), 30);
-        assert!(!g.csr_offsets().is_wide(), "small graphs pack to u32");
         assert_eq!(
             g.memory_bytes(),
             11 * 4 + 11 * 4 + 30 * 4,
             "u32-packed offsets + fwd_offsets + adj"
         );
-    }
-
-    #[test]
-    fn offset_array_logical_equality_and_accessors() {
-        let narrow = OffsetArray::U32(vec![0, 2, 5, 9]);
-        let wide = OffsetArray::U64(vec![0, 2, 5, 9]);
-        assert_eq!(narrow, wide, "equality ignores representation width");
-        assert_eq!(narrow, &[0usize, 2, 5, 9][..]);
-        assert_ne!(narrow, OffsetArray::U32(vec![0, 2, 5, 8]));
-        assert_eq!(narrow.len(), 4);
-        assert!(!narrow.is_empty());
-        assert_eq!(narrow.get(2), 5);
-        assert_eq!(narrow.pair(1), (2, 5));
-        assert_eq!(narrow.last(), 9);
-        assert_eq!(wide.last(), 9);
-        assert!(!narrow.is_wide() && wide.is_wide());
-        assert_eq!(narrow.byte_len(), 16);
-        assert_eq!(wide.byte_len(), 32);
-        assert_eq!(narrow.iter().collect::<Vec<_>>(), vec![0, 2, 5, 9]);
-        assert_eq!(narrow.partition_point_le(5), 3);
-    }
-
-    #[test]
-    fn forced_wide_offsets_build_identical_graphs() {
-        // The u64 fallback (mocked via the test knob — really staging
-        // 2^32 edges is not a unit test) must produce a graph logically
-        // identical to the packed build, on both build paths.
-        let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i % 40, 40 + (i * 7) % 60)).collect();
-        let mut packed = GraphBuilder::new(100);
-        let mut wide = GraphBuilder::new(100);
-        wide.force_wide_offsets();
-        for &(u, v) in &pairs {
-            packed.add_edge(u, v).unwrap();
-            wide.add_edge(u, v).unwrap();
-        }
-        let gp = packed.build();
-        let gw = wide.build();
-        assert!(!gp.csr_offsets().is_wide());
-        assert!(gw.csr_offsets().is_wide() && gw.fwd_offsets.is_wide());
-        assert_eq!(gp, gw, "logical equality across representations");
-        assert_eq!(gp.csr_offsets(), gw.csr_offsets());
-        assert_eq!(gw.num_edges(), gp.num_edges());
-        assert_eq!(gw.memory_bytes(), gp.memory_bytes() + 2 * 101 * 4);
     }
 
     #[test]
@@ -1502,9 +1197,10 @@ mod tests {
 
     #[test]
     fn build_with_executors_byte_identical() {
-        // Force the chunked path with > 2^15 staged edges (duplicates
-        // included) and compare the CSR arrays across executors and
-        // against the single-threaded reference.
+        // One vertex range above the threshold (> 2^15 staged edges,
+        // duplicates included): the range pass reads the staged pairs
+        // directly. Compare the CSR arrays across executors and against
+        // an independent reference built from per-vertex neighbor sets.
         let n = 5000usize;
         let mut pairs = Vec::new();
         let mut s = 0x1234_5678_9abc_def0u64;
@@ -1522,7 +1218,17 @@ mod tests {
                 }
             }
         }
-        assert!(pairs.len() >= PAR_BUILD_THRESHOLD, "need the chunked path");
+        assert!(pairs.len() >= PAR_BUILD_THRESHOLD, "need the threaded path");
+        let mut rows = vec![std::collections::BTreeSet::new(); n];
+        for &(u, v) in &pairs {
+            rows[u as usize].insert(v);
+            rows[v as usize].insert(u);
+        }
+        let mut offsets = vec![0u32];
+        for row in &rows {
+            offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
+        }
+        let adj: Vec<VertexId> = rows.iter().flatten().copied().collect();
         let build = |exec: &ExecutorConfig| {
             let mut b = GraphBuilder::with_capacity(n, pairs.len());
             for &(u, v) in &pairs {
@@ -1530,21 +1236,58 @@ mod tests {
             }
             b.build_with(exec)
         };
-        let mut small = GraphBuilder::with_capacity(n, pairs.len());
-        for &(u, v) in &pairs {
-            small.add_edge(u, v).unwrap();
-        }
-        let reference = small.build_small();
+        let reference = build(&ExecutorConfig::sequential());
         for exec in [
             ExecutorConfig::sequential(),
             ExecutorConfig::with_threads(2),
             ExecutorConfig::with_threads(4),
         ] {
             let g = build(&exec);
-            assert_eq!(g.csr_offsets(), reference.csr_offsets(), "{exec:?}");
-            assert_eq!(g.csr_adjacency(), reference.csr_adjacency(), "{exec:?}");
+            assert_eq!(g.csr_offsets(), &offsets[..], "{exec:?}");
+            assert_eq!(g.csr_adjacency(), &adj[..], "{exec:?}");
             assert_eq!(g, reference, "{exec:?}");
         }
+    }
+
+    #[test]
+    fn build_returns_staging_only_to_its_own_arena() {
+        // A builder that never drew from the executor's arena must not
+        // leave its staging buffer there: a long-lived arena (the serve
+        // daemon's) would otherwise grow by one buffer per build.
+        use mmvc_substrate::ScratchPool;
+        let n = 40_000usize;
+        let pool = ScratchPool::new();
+        let exec = ExecutorConfig::sequential().with_scratch(&pool);
+        let mut retained = Vec::new();
+        for _ in 0..3 {
+            let mut b = GraphBuilder::with_capacity(n, n);
+            for i in 0..n as u32 {
+                b.add_edge(i, (i + 1) % n as u32).unwrap();
+            }
+            assert_eq!(b.build_with(&exec).num_edges(), n);
+            retained.push(pool.retained_bytes());
+        }
+        assert!(
+            retained.windows(2).all(|w| w[0] == w[1]),
+            "arena grew across builds: {retained:?}"
+        );
+    }
+
+    #[test]
+    fn offset_bound_refused_at_its_boundary() {
+        // By arithmetic alone: staging asks about twice its edge count,
+        // the delta merge about the merged entry count.
+        let max_staged = u32::MAX as usize / 2;
+        assert!(check_directed(2 * max_staged).is_ok());
+        assert!(matches!(
+            check_directed(2 * (max_staged + 1)),
+            Err(GraphError::InvalidParameter { name: "m", .. })
+        ));
+        assert!(check_directed(u32::MAX as usize).is_ok());
+        assert!(matches!(
+            check_directed(u32::MAX as usize + 1),
+            Err(GraphError::InvalidParameter { name: "m", .. })
+        ));
     }
 
     #[test]
@@ -1558,26 +1301,6 @@ mod tests {
         assert_eq!(h.num_edges(), 15 - 3);
         assert!(!h.has_edge(0, 1));
         assert!(h.has_edge(1, 2));
-    }
-
-    #[test]
-    fn induced_subgraph_relabels() {
-        let g = petersen();
-        let verts = vec![0u32, 1, 5];
-        let (h, map) = g.induced_subgraph(&verts);
-        assert_eq!(h.num_vertices(), 3);
-        assert_eq!(map, verts);
-        // Edges {0,1} and {0,5} survive as {0,1} and {0,2} locally.
-        assert_eq!(h.num_edges(), 2);
-        assert!(h.has_edge(0, 1));
-        assert!(h.has_edge(0, 2));
-        assert!(!h.has_edge(1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate vertex")]
-    fn induced_subgraph_rejects_duplicates() {
-        petersen().induced_subgraph(&[1, 1]);
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, ReadError> {
 /// [`ReadError`] on malformed lines, out-of-range vertices, self-loops,
 /// or (as [`GraphError::InvalidParameter`]) a vertex count above the cap
 /// or above the 2³² ids a [`VertexId`](crate::VertexId) can address —
-/// the latter refused with or without a cap.
+/// the latter refused with or without a cap — or more than `u32::MAX / 2`
+/// edge lines, which `u32` CSR offsets cannot index.
 pub fn read_edge_list_capped<R: Read>(reader: R, max_n: Option<usize>) -> Result<Graph, ReadError> {
     let reader = BufReader::new(reader);
     let mut declared_n: Option<usize> = None;

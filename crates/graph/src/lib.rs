@@ -10,8 +10,8 @@
 //! harness:
 //!
 //! * [`Graph`] / [`GraphBuilder`] — immutable simple undirected graphs in
-//!   CSR form, with induced-subgraph extraction (the core MPC operation)
-//!   and line graphs (Luby's matching-via-MIS reduction).
+//!   CSR form, with id-preserving induced subgraphs (the simulations'
+//!   vertex removal) and line graphs (Luby's matching-via-MIS reduction).
 //! * [`generators`] — seeded `G(n,p)`, `G(n,m)`, bipartite, Chung–Lu
 //!   power-law, and structured graph generators.
 //! * [`scenarios`] — the named workload registry (`gnp-sparse`,
@@ -64,7 +64,7 @@ pub mod weighted;
 
 pub use delta::GraphDelta;
 pub use error::GraphError;
-pub use graph::{Edge, EdgeIter, EdgesView, Graph, GraphBuilder, OffsetArray, VertexId};
+pub use graph::{Edge, EdgeIter, EdgesView, Graph, GraphBuilder, VertexId};
 
 #[cfg(test)]
 mod proptests {
@@ -136,33 +136,19 @@ mod proptests {
         }
 
         #[test]
-        fn packed_and_wide_builds_are_byte_identical_on_base_scenarios(
+        fn rebuilds_are_byte_identical_on_base_scenarios(
             idx in 0usize..64,
             n in 16usize..200,
             seed in 0u64..500
         ) {
-            // The u32/u64 CSR boundary contract: the wide-offset fallback
-            // (the representation graphs beyond 2³² directed edges get)
-            // must be logically byte-identical to the packed build on
-            // every base scenario — same offsets sequence, same adjacency
-            // bytes, equal graphs.
+            // Rebuilding a graph from its own canonical edge list gives
+            // back the same graph on every base scenario.
             let base: Vec<_> = scenarios::base().collect();
             let sc = base[idx % base.len()];
             let g = sc.build_with(n, seed).expect("base scenario builds");
-            let nv = g.num_vertices();
-            let mut packed = GraphBuilder::with_capacity(nv, g.num_edges());
-            let mut wide = GraphBuilder::with_capacity(nv, g.num_edges());
-            wide.force_wide_offsets();
-            packed.extend_edges(g.edges().iter()).expect("in range");
-            wide.extend_edges(g.edges().iter()).expect("in range");
-            let gp = packed.build();
-            let gw = wide.build();
-            prop_assert!(!gp.csr_offsets().is_wide(), "{} stayed packed", sc.name);
-            prop_assert!(gw.csr_offsets().is_wide(), "{} forced wide", sc.name);
-            prop_assert_eq!(gp.csr_offsets(), gw.csr_offsets());
-            prop_assert_eq!(gp.csr_adjacency(), gw.csr_adjacency());
-            prop_assert_eq!(&gp, &gw, "{} diverged across offset widths", sc.name);
-            prop_assert_eq!(&gp, &g, "{} rebuild diverged from original", sc.name);
+            let mut b = GraphBuilder::with_capacity(g.num_vertices(), g.num_edges());
+            b.extend_edges(g.edges().iter()).expect("in range");
+            prop_assert_eq!(&b.build(), &g, "{} rebuild diverged from original", sc.name);
         }
 
         #[test]

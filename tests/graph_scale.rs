@@ -13,7 +13,7 @@ const SEED: u64 = 0xC0FFEE;
 /// `sort_unstable + dedup` over the canonical edge list, then degree
 /// count → prefix offsets → scatter (u-side in order, v-side sorted).
 /// Returns `(offsets, adj)` — the byte-level CSR reference.
-fn legacy_csr(n: usize, mut edges: Vec<Edge>) -> (Vec<usize>, Vec<VertexId>) {
+fn legacy_csr(n: usize, mut edges: Vec<Edge>) -> (Vec<u32>, Vec<VertexId>) {
     edges.sort_unstable();
     edges.dedup();
     let mut degree = vec![0usize; n];
@@ -36,7 +36,7 @@ fn legacy_csr(n: usize, mut edges: Vec<Edge>) -> (Vec<usize>, Vec<VertexId>) {
     for v in 0..n {
         adj[offsets[v]..offsets[v + 1]].sort_unstable();
     }
-    (offsets, adj)
+    (offsets.into_iter().map(|o| o as u32).collect(), adj)
 }
 
 /// Raw (duplicate-laden) edges to feed both build paths: every scenario
@@ -72,36 +72,44 @@ fn counting_sort_matches_legacy_build_on_all_seeded_scenarios() {
 
 #[test]
 fn counting_sort_matches_legacy_build_on_chunked_path() {
-    // Enough raw edges to force the two-pass chunked build, spanning
-    // several vertex ranges; compare against the legacy reference under
-    // every executor.
-    let n = 70_000usize; // > 2 vertex ranges of 2^15
-    let mut raw = Vec::new();
-    let mut s = 0x9E37_79B9_7F4A_7C15u64;
-    while raw.len() < 80_000 {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = ((s >> 33) % n as u64) as u32;
-        let v = ((s >> 11) % n as u64) as u32;
-        if u != v {
-            raw.push(Edge::new(u, v));
-            if raw.len() % 4 == 0 {
-                raw.push(Edge::new(v, u)); // cross-chunk duplicate
+    // Each side of both assembler switches — several vertex ranges or
+    // one, at least 2^15 staged edges or fewer — against the legacy
+    // reference under every executor:
+    // * several ranges above the threshold (pass 1 buckets, threaded);
+    // * several ranges below it (bucketed, on the calling thread);
+    // * one range above it (no bucketing, threaded).
+    for (n, staged) in [
+        (70_000usize, 80_000usize),
+        (70_000, 1_000),
+        (1 << 15, 40_000),
+    ] {
+        let mut raw = Vec::new();
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        while raw.len() < staged {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let u = ((s >> 33) % n as u64) as u32;
+            let v = ((s >> 11) % n as u64) as u32;
+            if u != v {
+                raw.push(Edge::new(u, v));
+                if raw.len() % 4 == 0 {
+                    raw.push(Edge::new(v, u)); // cross-chunk duplicate
+                }
             }
         }
-    }
-    let (offsets, adj) = legacy_csr(n, raw.clone());
-    for exec in [
-        ExecutorConfig::sequential(),
-        ExecutorConfig::with_threads(2),
-        ExecutorConfig::with_threads(4),
-    ] {
-        let mut b = GraphBuilder::with_capacity(n, raw.len());
-        b.extend_edges(raw.clone()).unwrap();
-        let g = b.build_with(&exec);
-        assert_eq!(g.csr_offsets(), &offsets[..], "{exec:?}");
-        assert_eq!(g.csr_adjacency(), &adj[..], "{exec:?}");
+        let (offsets, adj) = legacy_csr(n, raw.clone());
+        for exec in [
+            ExecutorConfig::sequential(),
+            ExecutorConfig::with_threads(2),
+            ExecutorConfig::with_threads(4),
+        ] {
+            let mut b = GraphBuilder::with_capacity(n, raw.len());
+            b.extend_edges(raw.clone()).unwrap();
+            let g = b.build_with(&exec);
+            assert_eq!(g.csr_offsets(), &offsets[..], "n = {n}, {exec:?}");
+            assert_eq!(g.csr_adjacency(), &adj[..], "n = {n}, {exec:?}");
+        }
     }
 }
 
