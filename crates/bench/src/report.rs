@@ -1,15 +1,13 @@
-//! The report layer of the experiment binaries: tables, and their JSON
-//! sidecars.
+//! The report layer of the experiments and gates: tables, and their
+//! JSON form.
 //!
-//! Every experiment binary declares its sweep as
-//! [`RunSpec`](mmvc_core::run::RunSpec)s, renders rows through [`Table`]
-//! (one formatting code path, including the substrate columns shared by
-//! every table), and — when `MMVC_JSON_DIR` is set — writes a JSON
-//! sidecar of everything it printed via [`write_experiment_sidecar`].
+//! Every experiment renders its rows through [`Table`] (one formatting
+//! code path, including the substrate columns shared by every
+//! claimed-vs-measured table); [`Table::to_json`] is the table's form in
+//! a sidecar document ([`crate::experiments::sidecar`]).
 
 use mmvc_core::json::Json;
 use mmvc_core::run::SubstrateReport;
-use std::path::PathBuf;
 
 /// Header labels for the substrate-derived columns every experiment
 /// table shares, matching [`substrate_cells`].
@@ -61,7 +59,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the cell count disagrees with the column count — a
-    /// declaration bug in the calling binary, caught loudly.
+    /// declaration bug in the calling experiment, caught loudly.
     pub fn push(&mut self, cells: Vec<String>) {
         assert_eq!(
             cells.len(),
@@ -101,53 +99,6 @@ impl Table {
                 ),
             ),
         ])
-    }
-}
-
-/// The sidecar directory, from `MMVC_JSON_DIR` (unset = no sidecars).
-pub fn sidecar_dir() -> Option<PathBuf> {
-    std::env::var_os("MMVC_JSON_DIR").map(PathBuf::from)
-}
-
-/// Writes `<MMVC_JSON_DIR>/<stem>.json` capturing an experiment binary's
-/// tables; a no-op returning `Ok(None)` when the variable is unset.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (missing directory is created).
-pub fn write_experiment_sidecar(stem: &str, tables: &[Table]) -> std::io::Result<Option<PathBuf>> {
-    let Some(dir) = sidecar_dir() else {
-        return Ok(None);
-    };
-    std::fs::create_dir_all(&dir)?;
-    let doc = Json::obj(vec![
-        ("experiment", Json::Str(stem.to_string())),
-        (
-            "tables",
-            Json::Arr(tables.iter().map(Table::to_json).collect()),
-        ),
-    ]);
-    let path = dir.join(format!("{stem}.json"));
-    std::fs::write(&path, doc.render())?;
-    Ok(Some(path))
-}
-
-/// Prints the tables and writes the sidecar — the tail of every
-/// experiment binary.
-///
-/// # Panics
-///
-/// Panics if the sidecar write fails (an experiment run with
-/// `MMVC_JSON_DIR` set must not silently drop its artifact).
-pub fn finish_experiment(stem: &str, tables: &[Table]) {
-    for (i, t) in tables.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        t.print();
-    }
-    if let Some(path) = write_experiment_sidecar(stem, tables).expect("sidecar write failed") {
-        eprintln!("wrote {}", path.display());
     }
 }
 

@@ -69,6 +69,16 @@ pub mod vertex_cover;
 pub use epsilon::Epsilon;
 pub use error::CoreError;
 
+/// The version of the canonical report bytes: what `mmvc run
+/// --canonical` prints and `mmvc serve` caches for a spec.
+///
+/// A change that moves those bytes on purpose bumps it in the same
+/// commit. The golden digests (`tests/golden/canonical.tsv`) name it in
+/// their header and refuse a moved digest while it is unchanged, and the
+/// serve store writes it into every record, so a bump makes every record
+/// written before it a miss.
+pub const REPORT_FORMAT_VERSION: u32 = 1;
+
 /// Index-chunk granularity for executor-parallel vertex/edge scans.
 ///
 /// Chunk boundaries depend only on the item count and this constant —

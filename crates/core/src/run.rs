@@ -12,7 +12,8 @@
 //! [`ExecutionTrace`], algorithm-specific metrics, and wall time.
 //!
 //! The CLI (`mmvc run` / `mmvc list`), the daemon (`mmvc serve`) and the
-//! 13 experiment binaries are all thin declarations over this driver.
+//! 13 experiments of `mmvc-bench` are all thin declarations over this
+//! driver.
 //! [`report_json`] renders a report as the document `mmvc run --json`
 //! prints; with `wall_ms` zeroed it is the canonical body that
 //! `mmvc run --canonical` prints and `mmvc serve` caches.
@@ -180,7 +181,7 @@ pub struct RunBudget {
 }
 
 /// Algorithm-specific configuration overrides — the ablation knobs of the
-/// experiment binaries. `Default::default()` is the standard run.
+/// experiments. `Default::default()` is the standard run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunOverrides {
     /// Run the coupled `Central-Rand` reference and report deviation
@@ -750,7 +751,7 @@ pub enum RunArtifacts {
 /// `spec.overrides.weight_range`, seeded from `spec.seed` (salted so the
 /// weight stream is independent of the algorithm's randomness).
 ///
-/// Exposed so experiment binaries can score references (greedy, brute
+/// Exposed so experiments can score references (greedy, brute
 /// force) on the *same* instance the driver ran.
 ///
 /// # Panics

@@ -29,8 +29,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Left-rows per task in the chunked `G(n,p)` sampler. Set to 2¹⁶ so that
-/// every historically measured workload — the experiment binaries sweep
-/// `gnp` up to `n = 2¹⁶` (E1) — stays on the single-chunk (legacy-stream)
+/// every historically measured workload — the experiments sweep `gnp` up
+/// to `n = 2¹⁶` (E1) — stays on the single-chunk (legacy-stream)
 /// path; only the scale tier (`n ≥ 2²⁰`) actually chunks.
 const GNP_ROW_CHUNK: usize = 1 << 16;
 

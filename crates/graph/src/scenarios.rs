@@ -2,7 +2,7 @@
 //!
 //! Every algorithm in the workspace can be pointed at every scenario by
 //! name: the run driver (`mmvc_core::run`), the CLI (`mmvc run`, `mmvc
-//! list`), the serving daemon and the experiment binaries all resolve
+//! list`), the serving daemon and the experiment registry all resolve
 //! workloads through this table. Each entry names one graph
 //! family at a scenario-chosen default size; `build_with` overrides the
 //! size for smoke tests and sweeps.

@@ -94,52 +94,16 @@ impl Conn {
     /// connection should be dropped and reopened after any error — the
     /// stream position is no longer trustworthy.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> std::io::Result<Response> {
-        let mut wire = Vec::with_capacity(128 + body.len());
-        self.encode_request_into(&mut wire, method, path, body);
+        let mut wire = format!(
+            "{method} {path} HTTP/1.1\r\nhost: mmvc\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        wire.extend_from_slice(body);
         let stream = self.stream.get_mut();
         stream.write_all(&wire)?;
         stream.flush()?;
-        read_response(&mut self.stream)
-    }
-
-    /// Appends the wire bytes of one request to `buf` and counts it as
-    /// sent — the pipelined form of [`request`](Self::request). The
-    /// caller batches several encoded requests into a single write on
-    /// [`stream_mut`](Self::stream_mut), then collects each framed
-    /// response in order with
-    /// [`read_next_response`](Self::read_next_response).
-    pub fn encode_request_into(
-        &mut self,
-        buf: &mut Vec<u8>,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) {
-        buf.extend_from_slice(
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: mmvc\r\ncontent-length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        );
-        buf.extend_from_slice(body);
         self.sent += 1;
-    }
-
-    /// The underlying socket, for writing batched pipelined requests.
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        self.stream.get_mut()
-    }
-
-    /// Reads the next framed response off the connection — one per
-    /// request previously encoded with
-    /// [`encode_request_into`](Self::encode_request_into).
-    ///
-    /// # Errors
-    ///
-    /// See [`request`](Self::request): after any error the connection
-    /// should be dropped.
-    pub fn read_next_response(&mut self) -> std::io::Result<Response> {
         read_response(&mut self.stream)
     }
 }

@@ -196,13 +196,6 @@ impl Metrics {
         self.latency.record_ms(ms);
     }
 
-    /// `(p50, p90, p99, p999)` estimated from the histogram (zeros
-    /// when empty). Estimates are bucket upper bounds — conservative
-    /// to within the log2 bucket width.
-    pub fn latency_percentiles_ms(&self) -> (f64, f64, f64, f64) {
-        self.latency.snapshot().percentiles_ms()
-    }
-
     /// Relaxed read of a counter.
     pub fn read(&self, counter: &AtomicU64) -> u64 {
         counter.load(Ordering::Relaxed)

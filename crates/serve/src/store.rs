@@ -13,7 +13,8 @@
 //!
 //! ```text
 //! magic    8 bytes  "MMVCRPT\0"
-//! version  u32      STORE_VERSION (bump invalidates every old entry)
+//! version  u32      mmvc_core::REPORT_FORMAT_VERSION (a bump invalidates
+//!                   every older record)
 //! key_len  u32      length of the cache key
 //! key      ..       the canonical cache key, verbatim
 //! body_len u64      length of the body
@@ -38,14 +39,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::fnv1a;
+use mmvc_core::REPORT_FORMAT_VERSION;
 
-/// The store's on-disk format version. Bumping it orphans every
-/// existing entry: old files fail the version check on load, are
-/// removed, and get rewritten from fresh runs. (Key *schema* changes —
-/// `mmvc-serve-spec/vN` inside the key — already produce new addresses;
-/// this guards changes to the record format itself.)
-pub const STORE_VERSION: u32 = 1;
+use crate::fnv1a;
 
 const MAGIC: &[u8; 8] = b"MMVCRPT\0";
 
@@ -65,11 +61,17 @@ impl ReportStore {
     /// Opens (creating if needed) a store rooted at `root`, and sweeps
     /// any tmp files a crashed writer left behind.
     ///
+    /// Records carry [`REPORT_FORMAT_VERSION`]: after a bump every older
+    /// record fails its version check on load, is removed, and is
+    /// rewritten from a fresh run. (Key *schema* changes —
+    /// `mmvc-serve-spec/vN` inside the key — already produce new
+    /// addresses; a change to the record layout bumps the version too.)
+    ///
     /// # Errors
     ///
     /// Propagates directory-creation failures.
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<ReportStore> {
-        ReportStore::open_with_version(root, STORE_VERSION)
+        ReportStore::open_with_version(root, REPORT_FORMAT_VERSION)
     }
 
     /// [`open`](Self::open) at an explicit format version — exists so
@@ -271,7 +273,8 @@ mod tests {
     fn version_bump_invalidates_old_entries() {
         let store = temp_store("version");
         store.save("k", b"v-old").unwrap();
-        let bumped = ReportStore::open_with_version(store.root(), STORE_VERSION + 1).unwrap();
+        let bumped =
+            ReportStore::open_with_version(store.root(), REPORT_FORMAT_VERSION + 1).unwrap();
         assert!(bumped.load("k").is_none(), "old version is not served");
         // The invalidated file was swept; a rewrite at the new version
         // works, and the old-version store now (correctly) misses.

@@ -1,8 +1,8 @@
 //! `mmvc` — command-line front end for the workspace.
 //!
-//! Drives any registered algorithm × scenario pair through the unified
-//! run driver, and runs the paper's algorithms on edge-list files (one
-//! `u v` pair per line; `#` comments; optional `# vertices: n` header):
+//! Drives any registered algorithm × scenario pair, or an edge-list file
+//! (one `u v` pair per line; `#` comments; optional `# vertices: n`
+//! header), through the unified run driver:
 //!
 //! ```text
 //! mmvc list                                    # algorithms and scenarios
@@ -11,16 +11,13 @@
 //!          [--trace-out PATH] [--trace-jsonl PATH]
 //! mmvc serve [--addr A] [--workers W] [--cache-cap K] [--max-n N]   # run-serving daemon
 //!            [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
-//! mmvc stats    <graph.txt>
-//! mmvc mis      <graph.txt> [--seed S] [--model mpc|clique|luby|seq] [--threads N]
-//! mmvc matching <graph.txt> [--seed S] [--eps E] [--exact]
-//! mmvc cover    <graph.txt> [--seed S] [--eps E]
-//! mmvc gen      gnp|powerlaw <n> <param> [--seed S]   # writes to stdout
+//! mmvc stats <graph.txt>
+//! mmvc gen   gnp|powerlaw <n> <param> [--seed S]   # writes to stdout
 //! ```
 
 use mmvc::core::run::{AlgorithmKind, RunSpec};
-use mmvc::graph::{io, scenarios, stats};
-use mmvc::prelude::*;
+use mmvc::core::Epsilon;
+use mmvc::graph::{generators, io, scenarios, stats, Graph};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -43,10 +40,7 @@ const USAGE: &str = "usage:
            [--trace-out PATH] [--trace-jsonl PATH]
   mmvc serve [--addr HOST:PORT] [--workers W] [--cache-cap K] [--max-n N]
              [--store-dir DIR] [--idle-timeout-ms T] [--max-reqs-per-conn R] [--trace-dir DIR]
-  mmvc stats    <graph.txt>
-  mmvc mis      <graph.txt> [--seed S] [--model mpc|clique|luby|seq] [--threads N]
-  mmvc matching <graph.txt> [--seed S] [--eps E] [--exact]
-  mmvc cover    <graph.txt> [--seed S] [--eps E]
+  mmvc stats <graph.txt>
   mmvc gen gnp      <n> <p>          [--seed S]
   mmvc gen powerlaw <n> <avg_degree> [--seed S]";
 
@@ -57,9 +51,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "run" => cmd_run(args),
         "serve" => cmd_serve(args),
         "stats" => cmd_stats(args),
-        "mis" => cmd_mis(args),
-        "matching" => cmd_matching(args),
-        "cover" => cmd_cover(args),
         "gen" => cmd_gen(args),
         other => Err(format!("unknown command `{other}`")),
     }
@@ -382,77 +373,6 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (_, components) = g.connected_components();
     println!("components  : {components}");
     println!("degeneracy  : {}", stats::degeneracy(&g));
-    Ok(())
-}
-
-fn cmd_mis(args: &[String]) -> Result<(), String> {
-    check_flags(args, 2, &["--seed", "--model", "--threads"], &[])?;
-    let g = load_graph(args)?;
-    let seed = parse_seed(args)?;
-    let executor = parse_executor(args)?;
-    let model = flag_value(args, "--model").unwrap_or_else(|| "mpc".into());
-    match model.as_str() {
-        "mpc" => {
-            let mut cfg = GreedyMisConfig::new(seed);
-            cfg.executor = executor.clone();
-            let out = greedy_mpc_mis(&g, &cfg).map_err(|e| e.to_string())?;
-            println!("mis_size    : {}", out.mis.len());
-            println!("mpc_rounds  : {}", out.trace.rounds());
-            println!("phases      : {}", out.prefix_phases);
-            println!("max_load    : {} words", out.trace.max_load_words());
-        }
-        "clique" => {
-            let mut cfg = CliqueMisConfig::new(seed);
-            cfg.executor = executor.clone();
-            let out = clique_mis(&g, &cfg).map_err(|e| e.to_string())?;
-            println!("mis_size      : {}", out.mis.len());
-            println!("clique_rounds : {}", out.trace.rounds());
-            println!("max_inflow    : {} words", out.trace.max_load_words());
-        }
-        "luby" => {
-            let out = luby_mis(&g, seed);
-            println!("mis_size : {}", out.mis.len());
-            println!("rounds   : {}", out.rounds);
-        }
-        "seq" => {
-            let s = mis::randomized_greedy_mis(&g, seed);
-            println!("mis_size : {}", s.len());
-        }
-        other => return Err(format!("unknown --model `{other}`")),
-    }
-    Ok(())
-}
-
-fn cmd_matching(args: &[String]) -> Result<(), String> {
-    check_flags(args, 2, &["--seed", "--eps"], &["--exact"])?;
-    let g = load_graph(args)?;
-    let seed = parse_seed(args)?;
-    let eps = parse_eps(args)?;
-    let out = integral_matching(&g, &IntegralMatchingConfig::new(eps, seed))
-        .map_err(|e| e.to_string())?;
-    println!("matching_size : {}", out.matching.len());
-    println!("mpc_rounds    : {}", out.total_rounds);
-    if args.iter().any(|a| a == "--exact") {
-        let opt = matching::blossom(&g).len();
-        println!("optimum       : {opt}");
-        println!(
-            "ratio         : {:.4}",
-            opt as f64 / out.matching.len().max(1) as f64
-        );
-    }
-    Ok(())
-}
-
-fn cmd_cover(args: &[String]) -> Result<(), String> {
-    check_flags(args, 2, &["--seed", "--eps"], &[])?;
-    let g = load_graph(args)?;
-    let seed = parse_seed(args)?;
-    let eps = parse_eps(args)?;
-    let out = integral_matching(&g, &IntegralMatchingConfig::new(eps, seed))
-        .map_err(|e| e.to_string())?;
-    println!("cover_size : {}", out.cover.len());
-    println!("lower_bound: {}", out.matching.len());
-    println!("mpc_rounds : {}", out.total_rounds);
     Ok(())
 }
 

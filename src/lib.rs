@@ -27,8 +27,8 @@
 //!   (sound because reports are deterministic).
 //!
 //! Reports render through `mmvc_core`'s own JSON model
-//! ([`core::run::report_json`]); the experiment binaries live in the
-//! separate `mmvc-bench` crate, which this facade does not depend on.
+//! ([`core::run::report_json`]); the experiments live in the separate
+//! `mmvc-bench` crate, which this facade does not depend on.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! claimed-vs-measured results. The `examples/` directory contains

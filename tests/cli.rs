@@ -3,8 +3,8 @@
 //! file-based subcommand rejects a misspelled flag or a flag missing its
 //! value instead of silently running with a default, an edge list that
 //! declares more vertices than `u32` ids can address is a clean error, so
-//! is an `ε` too small to simulate, and the removed transport subcommands
-//! get the unknown-command error.
+//! is an `ε` too small to simulate, and the removed subcommands get the
+//! unknown-command error.
 
 use mmvc::core::run::{run, AlgorithmKind, RunSpec};
 use mmvc::serve::canonical_report_body;
@@ -88,11 +88,13 @@ fn check_subcommand(prefix: &[&str], misspelled: [&str; 2], valueless: &str, val
 fn file_subcommands_reject_unknown_and_valueless_flags() {
     let path = graph_file("flags");
     let g = path.as_str();
-    let mis_flags = ["--seed", "7", "--model", "luby", "--threads", "1"];
-    check_subcommand(&["mis", g], ["--sed", "7"], "--seed", &mis_flags);
-    check_subcommand(&["mis", g], ["--modle", "clique"], "--model", &[]);
-    check_subcommand(&["matching", g], ["--sed", "7"], "--eps", &["--exact"]);
-    check_subcommand(&["cover", g], ["--epz", "0.5"], "--eps", &["--eps", "0.1"]);
+    let run = ["run", "greedy-mis", "--graph-file", g];
+    check_subcommand(
+        &run,
+        ["--sed", "7"],
+        "--seed",
+        &["--seed", "7", "--threads", "1"],
+    );
     check_subcommand(&["stats", g], ["--sed", "7"], "--seed", &[]);
     let gen = ["gen", "gnp", "40", "0.1"];
     check_subcommand(&gen, ["--sed", "7"], "--seed", &["--seed", "3"]);
@@ -132,14 +134,15 @@ fn run_refuses_an_eps_too_small_to_simulate() {
     );
 }
 
-/// Removed subcommands (the transport pair and the sweep) get the same
-/// error as any other unknown command.
+/// Removed subcommands (the transport pair, the sweep, and the direct
+/// algorithm calls that `run --graph-file` replaces) get the same error
+/// as any other unknown command.
 #[test]
 fn removed_subcommands_are_unknown_commands() {
     // Assembled from two pieces so the removed command's name does not
     // appear as a literal anywhere in the tree.
     let net_run = concat!("net", "-run");
-    for cmd in [net_run, "party", "bench"] {
+    for cmd in [net_run, "party", "bench", "mis", "matching", "cover"] {
         assert_rejected(
             &[cmd, "greedy-mis", "gnp-sparse"],
             &format!("unknown command `{cmd}`"),

@@ -7,21 +7,31 @@
 //! spec runs under the sequential executor and on three threads, and
 //! both runs must match the checked-in line.
 //!
-//! On a mismatch the test lists the specs that moved and writes the
-//! complete regenerated file under `CARGO_TARGET_TMPDIR`. A deliberate
-//! byte change is blessed by copying that file over the checked-in one
-//! in the same commit, so the diff names every digest that moved.
+//! The file's header names the report format version,
+//! [`mmvc::core::REPORT_FORMAT_VERSION`]. On a mismatch the test lists
+//! the specs that moved. While the constant still equals the header's
+//! version it stops there and asks for the bump, so no byte move can be
+//! blessed without one. Once the constant differs, it writes the
+//! complete regenerated file under `CARGO_TARGET_TMPDIR`; copying that
+//! over the checked-in one, in the commit that bumps the version, blesses
+//! the change, and the diff names every digest that moved.
 
 use mmvc::core::run::{run, AlgorithmKind, RunSpec};
+use mmvc::core::REPORT_FORMAT_VERSION;
 use mmvc::graph::scenarios;
 use mmvc::serve::{canonical_report_body, fnv1a};
 use mmvc::substrate::ExecutorConfig;
 use std::path::PathBuf;
 
-const HEADER: &str = "\
-# Canonical report digests, checked by tests/golden.rs.
-# kind\tscenario\tn\tseed\tfnv1a(canonical_report_body)
-";
+const VERSION_LINE: &str = "# report format version ";
+
+fn header(version: u32) -> String {
+    format!(
+        "# Canonical report digests, checked by tests/golden.rs.\n\
+         {VERSION_LINE}{version} (mmvc_core::REPORT_FORMAT_VERSION)\n\
+         # kind\tscenario\tn\tseed\tfnv1a(canonical_report_body)\n"
+    )
+}
 
 fn spec(kind: AlgorithmKind, scenario: &str, n: usize, space_factor: Option<f64>) -> RunSpec {
     let mut spec = RunSpec::new(kind, scenario);
@@ -94,6 +104,10 @@ fn canonical_bytes_match_checked_in_digests() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/canonical.tsv");
     let checked_in = std::fs::read_to_string(&path).unwrap_or_default();
     let expected: Vec<&str> = checked_in.lines().filter(|l| !l.starts_with('#')).collect();
+    let checked_in_version = checked_in.lines().find_map(|l| {
+        let rest = l.strip_prefix(VERSION_LINE)?;
+        rest.split(' ').next()?.parse::<u32>().ok()
+    });
 
     let specs = golden_specs();
     let (sequential, threaded) = std::thread::scope(|s| {
@@ -121,18 +135,35 @@ fn canonical_bytes_match_checked_in_digests() {
             expected.len() - specs.len()
         ));
     }
-    if !moved.is_empty() {
-        let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden/canonical.tsv");
-        std::fs::create_dir_all(out.parent().unwrap()).unwrap();
-        std::fs::write(&out, format!("{HEADER}{}", sequential.concat())).unwrap();
-        panic!(
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden/canonical.tsv");
+    // A file left by an earlier run must not pass for this run's.
+    let _ = std::fs::remove_file(&out);
+    if checked_in_version == Some(REPORT_FORMAT_VERSION) {
+        assert!(
+            moved.is_empty(),
             "{} golden specs moved:\n{}\n\
-             regenerated file (sequential executor): {}\n\
-             copy it over {} only for a deliberate byte change",
+             the canonical bytes changed at report format version {REPORT_FORMAT_VERSION}: \
+             if the change is deliberate, bump mmvc_core::REPORT_FORMAT_VERSION \
+             and run this test again to regenerate {}",
             moved.len(),
             moved.join("\n"),
-            out.display(),
             path.display()
         );
+        return;
     }
+    std::fs::create_dir_all(out.parent().unwrap()).unwrap();
+    let regenerated = format!("{}{}", header(REPORT_FORMAT_VERSION), sequential.concat());
+    std::fs::write(&out, regenerated).unwrap();
+    panic!(
+        "{} names report format version {}, the code {REPORT_FORMAT_VERSION}; \
+         {} golden specs moved:\n{}\n\
+         regenerated file (sequential executor): {}\n\
+         copy it over {} in the commit that bumps the version",
+        path.display(),
+        checked_in_version.map_or("none".to_string(), |v| v.to_string()),
+        moved.len(),
+        moved.join("\n"),
+        out.display(),
+        path.display()
+    );
 }
